@@ -95,6 +95,9 @@ let with_connection socket f =
 
 let cmd_serve opts =
   let socket = required opts "--socket" in
+  (* a client that hangs up mid-reply must cost its own connection (an
+     EPIPE, counted in served.errors), not the daemon *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store = Pipeline.store ?dir:(Hashtbl.find_opt opts "--store-dir") () in
   let profile_dir = Hashtbl.find_opt opts "--profile-dir" in
   let jobs = jobs_of opts in

@@ -224,7 +224,7 @@ let fig8_row ctx (b : Suite.benchmark) =
   let go threads =
     let r =
       Janus.run_parallel ~cfg:(Janus.config ~threads ())
-        ~input:(Suite.ref_input b) ?pool:ctx.pool prepared
+        ~input:(Suite.ref_input b) ~store:ctx.store ?pool:ctx.pool prepared
     in
     (r.Janus.breakdown, r.Janus.cycles)
   in
@@ -329,7 +329,7 @@ let fig9_row ctx (b : Suite.benchmark) =
       (fun threads ->
          let r =
            Janus.run_parallel ~cfg:(Janus.config ~threads ())
-             ~input:(Suite.ref_input b) prepared
+             ~input:(Suite.ref_input b) ~store:ctx.store prepared
          in
          (threads, Janus.speedup ~native ~run:r))
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
@@ -363,7 +363,7 @@ let fig10_row ctx (b : Suite.benchmark) =
   in
   let r =
     Janus.run_parallel ~cfg:(Janus.config ()) ~input:(Suite.train_input b)
-      ?pool:ctx.pool p
+      ~store:ctx.store ?pool:ctx.pool p
   in
   {
     f10_name = b.Suite.name;
@@ -555,7 +555,9 @@ let ext_prefetch_row ctx (b : Suite.benchmark) =
       Janus.prepare ~cfg ~train_input:(Suite.train_input b)
         ?evidence:(ctx.evidence img) ~store:ctx.store ?pool:ctx.pool img
     in
-    (p, Janus.run_parallel ~cfg ~input:(Suite.ref_input b) ?pool:ctx.pool p)
+    (p,
+     Janus.run_parallel ~cfg ~input:(Suite.ref_input b) ~store:ctx.store
+       ?pool:ctx.pool p)
   in
   let _, base = go (Janus.config ~model_cache:true ()) in
   let prepared_pf, pf = go (Janus.config ~model_cache:true ~prefetch:true ()) in
@@ -688,7 +690,9 @@ let ext_fission_row ctx (b : Suite.benchmark) =
       Janus.prepare ~cfg ~train_input:(Suite.train_input b)
         ?evidence:(ctx.evidence img) ~store:ctx.store ?pool:ctx.pool img
     in
-    (p, Janus.run_parallel ~cfg ~input:(Suite.ref_input b) ?pool:ctx.pool p)
+    (p,
+     Janus.run_parallel ~cfg ~input:(Suite.ref_input b) ~store:ctx.store
+       ?pool:ctx.pool p)
   in
   let _, base = go (Janus.config ~threads:4 ()) in
   let pf, fission = go (Janus.config ~threads:4 ~fission:true ()) in

@@ -248,19 +248,20 @@ let rule_loops (schedule : Schedule.t) id =
     schedule.Schedule.rules
   |> List.sort_uniq compare
 
+(* Loops the verifier cannot prove safe run sequentially (graceful
+   degradation, not a crash). Only a caller that passes a store shares
+   verdicts: without one, nothing outlives the call. *)
+let gate ~cfg ?store ?pool image schedule =
+  if not cfg.verify then (schedule, [], [])
+  else
+    match store with
+    | Some store -> Pipeline.verify ~store ?pool image schedule
+    | None -> Verify.check_and_demote ?pool image schedule
+
 (** Stage 3: run the program under the DBM with the parallelisation
     schedule (the "Parallelisation Stage"). *)
-let run_parallel ?(cfg = config ()) ?(input = []) ?pool (p : prepared) =
-  (* gate the schedule through the verifier: loops it cannot prove safe
-     run sequentially (graceful degradation, not a crash) *)
-  let schedule, demoted =
-    if cfg.verify then
-      let s, demoted, _findings =
-        Verify.check_and_demote ?pool p.p_image p.p_schedule
-      in
-      (s, demoted)
-    else (p.p_schedule, [])
-  in
+let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
+  let schedule, demoted, _ = gate ~cfg ?store ?pool p.p_image p.p_schedule in
   let prog = Program.load p.p_image in
   let obs = Obs.create ~enabled:cfg.trace () in
   let dbm = Dbm.create ~schedule ~obs ~fuse:cfg.fuse prog in
@@ -377,14 +378,7 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?pool (p : prepared) =
     at run time. *)
 let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
   let shipped_size = Schedule.size schedule in
-  let schedule, demoted =
-    if cfg.verify then
-      let s, demoted, _findings =
-        Verify.check_and_demote ?pool image schedule
-      in
-      (s, demoted)
-    else (schedule, [])
-  in
+  let schedule, demoted, _ = gate ~cfg ?pool image schedule in
   let prog = Program.load image in
   let obs = Obs.create ~enabled:cfg.trace () in
   let dbm = Dbm.create ~schedule ~obs ~fuse:cfg.fuse prog in
@@ -442,7 +436,7 @@ let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
 let parallelise ?(cfg = config ()) ?(train_input = []) ?(input = [])
     ?evidence ?store ?pool image =
   let p = prepare ~cfg ~train_input ?evidence ?store ?pool image in
-  run_parallel ~cfg ~input ?pool p
+  run_parallel ~cfg ~input ?store ?pool p
 
 (** Convenience: speedup of [b] over [a] (same program, same input). *)
 let speedup ~native ~run =

@@ -217,11 +217,29 @@ val prepare :
   Janus_vx.Image.t ->
   prepared
 
+(** The verification gate: with [cfg.verify], the (possibly reduced)
+    schedule, the loops demoted to sequential and the findings of
+    {!Janus_verify.Verify.check_and_demote}; without, [schedule]
+    unchanged, [[]] and [[]]. Given a [store], the verdict is the
+    memoised {!Pipeline.verify} artifact there; omitted, it is computed
+    afresh and kept nowhere, so only a caller that passes a store shares
+    verdicts. *)
+val gate :
+  cfg:config ->
+  ?store:Pipeline.store ->
+  ?pool:Janus_pool.Pool.t ->
+  Janus_vx.Image.t ->
+  Schedule.t ->
+  Schedule.t * int list * Janus_verify.Verify.finding list
+
 (** Stage 3: execute under the DBM with the parallelisation schedule.
-    Reusable with different thread counts on one {!prepared}. *)
+    Reusable with different thread counts on one {!prepared}. The
+    schedule first passes {!gate} on [store], so a sweep over one
+    {!prepared} on one store verifies its schedule once. *)
 val run_parallel :
   ?cfg:config ->
   ?input:int64 list ->
+  ?store:Pipeline.store ->
   ?pool:Janus_pool.Pool.t ->
   prepared ->
   result
@@ -230,7 +248,8 @@ val run_parallel :
     deserialised from disk): the paper's deployment model, where the
     schedule ships next to the binary and no analysis happens at run
     time. [selected_loops]/[checks_per_loop] are empty in the result —
-    the runner only knows the rules. *)
+    the runner only knows the rules. The schedule first passes {!gate},
+    storeless. *)
 val run_scheduled :
   ?cfg:config ->
   ?input:int64 list ->
@@ -240,7 +259,7 @@ val run_scheduled :
   result
 
 (** The whole pipeline: {!prepare} on the training input, then
-    {!run_parallel} on the reference input. *)
+    {!run_parallel} on the reference input, both given [store]. *)
 val parallelise :
   ?cfg:config ->
   ?train_input:int64 list ->

@@ -11,6 +11,7 @@ module Desc = Janus_schedule.Desc
 module Jcc = Janus_jcc.Jcc
 module Obs = Janus_obs.Obs
 module Image = Janus_vx.Image
+module Verify = Janus_verify.Verify
 
 type config = {
   threads : int;
@@ -87,9 +88,10 @@ let table kind codec =
   { kind; codec; tbl = Hashtbl.create 16;
     ks = { kh = 0; km = 0; kd = 0; ke = 0 } }
 
-(* Analysis/profile artifacts are pure data (no closures, no custom
-   blocks — records, lists, arrays, Hashtbls), so Marshal is a sound
-   codec for them; images and schedules use their own byte formats. *)
+(* Analysis/profile artifacts and verdicts are pure data (no closures,
+   no custom blocks — records, lists, arrays, Hashtbls), so Marshal is
+   a sound codec for them; images and schedules use their own byte
+   formats. *)
 let marshal_codec () =
   { enc = (fun v -> Marshal.to_bytes v []);
     dec = (fun b -> Marshal.from_bytes b 0) }
@@ -108,6 +110,7 @@ type store = {
   coverages : Profiler.coverage table;
   depses : Profiler.deps table;
   schedules : Schedule.t table;
+  verifieds : (Schedule.t * int list * Verify.finding list) table;
 }
 
 let rec mkdir_p d =
@@ -178,7 +181,8 @@ let store ?(enabled = true) ?dir ?prune_age ?prune_bytes () =
     coverages = table "coverage" (marshal_codec ());
     depses = table "deps" (marshal_codec ());
     schedules =
-      table "schedule" { enc = Schedule.to_bytes; dec = Schedule.of_bytes } }
+      table "schedule" { enc = Schedule.to_bytes; dec = Schedule.of_bytes };
+    verifieds = table "verified" (marshal_codec ()) }
 
 let default_store = store ()
 
@@ -205,7 +209,7 @@ let prune_store ?max_age ?max_bytes s =
 let tables s =
   [ ("image", s.images.ks); ("analysis", s.analyses.ks);
     ("coverage", s.coverages.ks); ("deps", s.depses.ks);
-    ("schedule", s.schedules.ks) ]
+    ("schedule", s.schedules.ks); ("verified", s.verifieds.ks) ]
 
 let clear s =
   Mutex.lock s.mu;
@@ -214,6 +218,7 @@ let clear s =
   Hashtbl.reset s.coverages.tbl;
   Hashtbl.reset s.depses.tbl;
   Hashtbl.reset s.schedules.tbl;
+  Hashtbl.reset s.verifieds.tbl;
   Mutex.unlock s.mu
 
 type cache_stats = { hits : int; misses : int }
@@ -567,3 +572,17 @@ let schedule ?(store = default_store) ?evidence ~cfg ~train_input image
       fst
         (Rulegen.parallel_schedule ~prefetch:cfg.prefetch ~fission:cfg.fission
            analysis.Analysis.cfg selection.chosen))
+
+(* The verifier's verdict is a pure function of the image and the
+   schedule's bytes, as static as the schedule itself, so it is an
+   artifact like any other: computed once per (image, schedule) and
+   then a lookup. [Verify.version] keys it because the build version
+   does not move when a lint rule does. *)
+let verify ?(store = default_store) ?pool image schedule =
+  let key =
+    Printf.sprintf "%s|sched=%s|verify=%s" (image_key image)
+      (Digest.to_hex (Digest.bytes (Schedule.to_bytes schedule)))
+      Verify.version
+  in
+  memo store store.verifieds key (fun () ->
+      Verify.check_and_demote ?pool image schedule)

@@ -10,6 +10,9 @@
     Fig. 9 thread counts share analysis, profiles and schedule — thread
     count is an execute-stage parameter and never enters a static key.
 
+    The verifier's verdict on a schedule ({!verify}) is an artifact
+    too: it depends on nothing but the image and the schedule's bytes.
+
     Artifacts are deterministic functions of their key (loop ids and
     symbolic-atom ids restart per analysis), so a cache hit returns
     exactly the value a recomputation would produce: results are
@@ -19,7 +22,8 @@
     shared by pipeline instances running on separate domains.
 
     The execute stage ({!Janus.run_parallel}) is the measurement and is
-    never cached. *)
+    never cached; its verification gate ({!Janus.gate}) is the cached
+    {!verify} on a store the caller passes. *)
 
 module Analysis = Janus_analysis.Analysis
 module Loopanal = Janus_analysis.Loopanal
@@ -180,7 +184,8 @@ val cache_stats : store -> cache_stats
 
 (** Per-kind counter breakdown, memory and disk separated. *)
 type kind_stat = {
-  k_kind : string;        (** image | analysis | coverage | deps | schedule *)
+  k_kind : string;
+      (** image | analysis | coverage | deps | schedule | verified *)
   k_mem_hits : int;
   k_disk_hits : int;
   k_misses : int;
@@ -264,3 +269,20 @@ val schedule :
   Analysis.t ->
   selection ->
   Schedule.t
+
+(** Stage 5 — schedule verification: {!Janus_verify.Verify.check_and_demote}
+    memoised, returning the (possibly reduced) schedule, the demoted
+    loop ids and the findings. Key: image digest + digest of
+    {!Schedule.to_bytes} of the schedule + {!Janus_verify.Verify.version}
+    — a schedule is identified by the bytes it ships as, so one
+    schedule reached through any configuration (or decoded from disk)
+    is verified once. [pool] shards the lint on a miss; hits ignore it,
+    which is sound because the sharded lint is byte-identical to the
+    sequential one. Persisted (kind [verified]) like every other
+    artifact, so a restarted process re-verifies nothing it has seen. *)
+val verify :
+  ?store:store ->
+  ?pool:Janus_pool.Pool.t ->
+  Janus_vx.Image.t ->
+  Schedule.t ->
+  Schedule.t * int list * Janus_verify.Verify.finding list

@@ -90,7 +90,9 @@ let check ?(threads = default_threads) (k : Kernel.t) =
           then fail "cycle-model" "%s has a negative cycle component" name
         in
         check_run "dbm-sequential" (Janus.run_dbm_only img);
-        (* the static side once, shared across thread counts *)
+        (* the static side once, shared across thread counts; the
+           verdict too, in a per-kernel store so a campaign leaves
+           nothing behind in the process-wide one *)
         let store = Pipeline.store () in
         let base = cfg ~threads:4 ~adapt:false in
         let prepared = Janus.prepare ~cfg:base ~store img in
@@ -155,7 +157,7 @@ let check ?(threads = default_threads) (k : Kernel.t) =
         (* the schedule that runs must be clean: every Error finding
            demoted its loop (or emptied the schedule) *)
         let _sched', demoted, findings =
-          Verify.check_and_demote img prepared.Janus.p_schedule
+          Pipeline.verify ~store img prepared.Janus.p_schedule
         in
         List.iter
           (fun (f : Verify.finding) ->
@@ -170,12 +172,16 @@ let check ?(threads = default_threads) (k : Kernel.t) =
         (* parallel execution at each thread count *)
         List.iter
           (fun t ->
-            let r = Janus.run_parallel ~cfg:(cfg ~threads:t ~adapt:false) prepared in
+            let r =
+              Janus.run_parallel ~store ~cfg:(cfg ~threads:t ~adapt:false)
+                prepared
+            in
             check_run (Printf.sprintf "parallel-%dt" t) r)
           threads;
         (* the adaptive governor must preserve semantics too *)
         check_run "adaptive"
-          (Janus.run_parallel ~cfg:(cfg ~threads:4 ~adapt:true) prepared);
+          (Janus.run_parallel ~store ~cfg:(cfg ~threads:4 ~adapt:true)
+             prepared);
         (* the fission extension: same architectural state at 1 and 4
            threads, and every promised-fissionable loop must actually
            split and survive the verifier *)
@@ -187,8 +193,11 @@ let check ?(threads = default_threads) (k : Kernel.t) =
           Janus.prepare ~cfg:(fission_cfg ~threads:4) ~store img
         in
         check_run "fission-1t"
-          (Janus.run_parallel ~cfg:(fission_cfg ~threads:1) fprepared);
-        let rf = Janus.run_parallel ~cfg:(fission_cfg ~threads:4) fprepared in
+          (Janus.run_parallel ~store ~cfg:(fission_cfg ~threads:1)
+             fprepared);
+        let rf =
+          Janus.run_parallel ~store ~cfg:(fission_cfg ~threads:4) fprepared
+        in
         check_run "fission-4t" rf;
         (match k.Kernel.expect_fission with
         | [] -> ()
@@ -228,8 +237,8 @@ let check ?(threads = default_threads) (k : Kernel.t) =
                   key)
             keys);
         (* determinism: same prepared pipeline, cold store then warm *)
-        let r1 = Janus.run_parallel ~cfg:base prepared in
-        let r2 = Janus.run_parallel ~cfg:base prepared in
+        let r1 = Janus.run_parallel ~store ~cfg:base prepared in
+        let r2 = Janus.run_parallel ~store ~cfg:base prepared in
         if
           not
             (String.equal r1.Janus.output r2.Janus.output

@@ -654,7 +654,7 @@ module Iterate = struct
       let stored = if n = 0 then None else Store.load store ~image:image_k in
       let ev = Option.map evidence stored in
       let prep = Janus.prepare ~cfg ~train_input ?evidence:ev ~store:pstore image in
-      let res = Janus.run_parallel ~cfg ~input prep in
+      let res = Janus.run_parallel ~cfg ~input ~store:pstore prep in
       List.iter
         (fun fi -> ignore (collect ?fuel ~source:Fleet ~store ~input:fi image))
         fleet;

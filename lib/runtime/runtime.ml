@@ -400,13 +400,19 @@ let run_parallel_loop ?caches ?max_threads ?iv_range t (main : Machine.t)
           Machine.set ctx Reg.RBP (Int64.of_int (rsp_w + (rbp_main - rsp_main)));
         Machine.set ctx Reg.TLS (Int64.of_int (Layout.tls_base w));
         Machine.set ctx Reg.SHARED (Int64.of_int rbp_main);
-        (* first-private copies of privatised scalars *)
+        (* first-private copies of privatised scalars: main's pre-loop
+           value, or — for a chained DOACROSS worker — the value its
+           predecessor's slot holds after the earlier iterations *)
         List.iter
           (fun (e, slot) ->
-             let addr = Int64.to_int (Rexpr.eval env e) in
+             let src =
+               match chain_src with
+               | Some (_, _, wp) -> Layout.tls_base wp + (8 * slot)
+               | None -> Int64.to_int (Rexpr.eval env e)
+             in
              Memory.write_i64 ctx.Machine.mem
                (Layout.tls_base w + (8 * slot))
-               (Memory.read_i64 main.Machine.mem addr))
+               (Memory.read_i64 main.Machine.mem src))
           desc.Desc.privatised;
         (* reduction identities (chained contexts already carry the
            running value, so DOACROSS workers keep it) *)

@@ -3,7 +3,6 @@
 
 module Pipeline = Janus_core.Pipeline
 module Janus = Janus_core.Janus
-module Verify = Janus_verify.Verify
 module Analysis = Janus_analysis.Analysis
 module Cfg = Janus_analysis.Cfg
 module Schedule = Janus_schedule.Schedule
@@ -158,15 +157,13 @@ let handle_schedule t q_image q_cfg q_train_input =
     Janus.prepare ~cfg:q_cfg ~train_input:q_train_input ?evidence
       ~store:t.store ?pool:t.pool image
   in
+  (* the verdict is a store artifact like the schedule it judges, so a
+     warm answer is a lookup, byte-identical to a cold one *)
+  let schedule, demoted, findings =
+    Janus.gate ~cfg:q_cfg ~store:t.store ?pool:t.pool image p.Janus.p_schedule
+  in
   let hit = warm_since t before in
   if hit then Obs.incr t.obs "served.store_hits";
-  (* verification is pure and deterministic, so a warm answer's bytes
-     still match a cold one's even though the lint itself is not cached *)
-  let schedule, demoted, findings =
-    if q_cfg.Pipeline.verify then
-      Verify.check_and_demote ?pool:t.pool image p.Janus.p_schedule
-    else (p.Janus.p_schedule, [], [])
-  in
   R_schedule
     {
       s_schedule = Schedule.to_bytes schedule;
@@ -238,8 +235,11 @@ let serve t =
            send_frame oc reply
        done
      with _ -> Obs.incr t.obs "served.errors");
-    close_out_noerr oc;
-    (try close_in_noerr ic with _ -> ())
+    (* both channels wrap one descriptor: close it exactly once, through
+       the output channel (flush, then close). Closing [ic] too would
+       hit whatever reused the number in between — in a process with
+       other sockets, someone else's live connection. *)
+    close_out_noerr oc
   done;
   Unix.close t.listener;
   if Sys.file_exists t.socket_path then Sys.remove t.socket_path
@@ -252,12 +252,12 @@ type connection = { c_ic : in_channel; c_oc : out_channel }
 
 let connect ~socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (try Unix.connect fd (Unix.ADDR_UNIX socket)
+   with e -> Unix.close fd; raise e);
   { c_ic = Unix.in_channel_of_descr fd; c_oc = Unix.out_channel_of_descr fd }
 
-let disconnect c =
-  close_out_noerr c.c_oc;
-  try close_in_noerr c.c_ic with _ -> ()
+(* one close for the one descriptor, as in [serve] *)
+let disconnect c = close_out_noerr c.c_oc
 
 let rpc c (req : request) : reply =
   send_frame c.c_oc req;

@@ -6,8 +6,10 @@
     length-prefixed RPC protocol, so repeat requests for a binary the
     service has already seen (in this process or any earlier one
     sharing the store directory) are answered from the warm store
-    without re-analysis. Artifacts are deterministic functions of their
-    content keys, so a warm answer is byte-identical to a cold one.
+    without re-analysis or re-verification: the verifier's verdict is
+    itself a store artifact ({!Janus_core.Pipeline.verify}). Artifacts
+    are deterministic functions of their content keys, so a warm answer
+    is byte-identical to a cold one.
 
     The protocol is Marshal payloads behind a magic-and-length frame
     header; the magic embeds the build version, so a client from a
@@ -35,7 +37,9 @@ type schedule_reply = {
   s_schedule : bytes;     (** {!Schedule.to_bytes} of the (verified) schedule *)
   s_demoted : int list;   (** loops the verifier degraded to sequential *)
   s_findings : int;       (** verifier findings of any severity *)
-  s_cache_hit : bool;     (** all pipeline artifacts came from the store *)
+  s_cache_hit : bool;
+      (** every pipeline artifact, the verdict included, came from the
+          store *)
   s_generation : string;  (** profile-store generation the schedule was
                               derived under; [""] when the daemon holds
                               no evidence for the binary *)
@@ -85,7 +89,9 @@ val server_metrics : server -> (string * int) list
 (** Accept and answer connections until a [Shutdown] request arrives;
     then close the listener, remove the socket file and return. A
     malformed frame or an error while answering closes (or errors to)
-    that connection and keeps serving. *)
+    that connection and keeps serving. A client that hangs up mid-reply
+    is one more [served.errors] when the process ignores SIGPIPE (as
+    [janus_served] does); otherwise the signal ends the process. *)
 val serve : server -> unit
 
 (** {1 Client} *)

@@ -7,6 +7,10 @@ module Rule = Janus_schedule.Rule
 module Desc = Janus_schedule.Desc
 module Rexpr = Janus_schedule.Rexpr
 
+(* keys persisted verdicts; bump on any change to what [lint] reports or
+   [check_and_demote] demotes (see verify.mli) *)
+let version = "1"
+
 type severity = Error | Warning | Info
 
 type finding = {

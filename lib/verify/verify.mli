@@ -16,6 +16,14 @@ open Janus_analysis
 module Schedule = Janus_schedule.Schedule
 module Rule = Janus_schedule.Rule
 
+(** The linter's rule-set version. Verdicts are memoised and persisted
+    under it ({!Janus_core.Pipeline.verify}), and the build version
+    never changes, so bump this whenever a lint rule, a finding, or
+    {!check_and_demote}'s demotion policy changes: a store directory
+    that outlives the change then misses instead of serving a stale
+    verdict. *)
+val version : string
+
 type severity = Error | Warning | Info
 
 type finding = {

@@ -53,8 +53,11 @@ diff -u "$work/eval_j1_cold.txt" "$work/eval_j1_warm.txt"
 diff -u "$work/eval_j1_cold.txt" "$work/eval_j4_cold.txt"
 diff -u "$work/eval_j1_cold.txt" "$work/eval_j4_warm.txt"
 # the warm rerun really did come from disk: a fresh process with an
-# empty memory layer must report disk hits and no recomputation
+# empty memory layer must report disk hits and no recomputation -
+# verification included, since verdicts are store artifacts too
 grep -Eq '^pipeline\.cache\.disk\.hits +[1-9]' "$work/eval_j1_warm.metrics"
+grep -Eq '^pipeline\.cache\.verified\.disk\.hits +[1-9]' \
+  "$work/eval_j1_warm.metrics"
 grep -Eq '^pipeline\.cache\.misses +0$' "$work/eval_j1_warm.metrics"
 echo "-- pipeline cache counters (--jobs 1, cold) --"
 grep -E '^(pipeline\.cache|pool)\.' "$work/eval_j1_cold.metrics"
@@ -114,6 +117,9 @@ done
   --out "$work/served_s3.jrs" > "$work/served_s3.txt"
 grep -q 'cache-hit=true' "$work/served_s3.txt"
 cmp "$work/served_s1.jrs" "$work/served_s3.jrs"
+# ... including the verifier's verdict: nothing was re-verified
+"$served" metrics --socket "$sock" > "$work/served_restart.metrics"
+grep -Eq '^pipeline\.cache\.verified\.misses +0$' "$work/served_restart.metrics"
 "$served" stop --socket "$sock"
 wait "$served_pid"
 

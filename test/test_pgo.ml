@@ -375,30 +375,6 @@ let test_iterate_converges () =
 (* ------------------------------------------------------------------ *)
 (* Daemon: upload, evidence-fed answers, restart *)
 
-let sock_counter = ref 0
-
-let fresh_socket () =
-  incr sock_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "janus-pgo-%d-%d.sock" (Unix.getpid ()) !sock_counter)
-
-let with_server ?profile_dir f =
-  let socket = fresh_socket () in
-  let server =
-    Served.create_server ~store:(Pipeline.store ()) ?profile_dir ~socket ()
-  in
-  let d = Domain.spawn (fun () -> Served.serve server) in
-  Fun.protect
-    ~finally:(fun () -> Domain.join d)
-    (fun () ->
-      let finish () =
-        let c = Served.connect ~socket in
-        Served.shutdown c;
-        Served.disconnect c
-      in
-      Fun.protect ~finally:finish (fun () -> f socket))
-
 let test_daemon_upload_and_restart () =
   let profile_dir = Filename.temp_file "janus-pgo" "" in
   Sys.remove profile_dir;
@@ -412,7 +388,7 @@ let test_daemon_upload_and_restart () =
         Pgo.to_bytes (Pgo.collect ~store:tmp ~input:[ 12L ] img))
   in
   let first_reply = ref None in
-  with_server ~profile_dir (fun socket ->
+  Test_served.with_server ~profile_dir (fun socket ->
       let c = Served.connect ~socket in
       Fun.protect
         ~finally:(fun () -> Served.disconnect c)
@@ -441,7 +417,7 @@ let test_daemon_upload_and_restart () =
             (count "pgo.store.errors")));
   (* a restarted daemon (fresh pipeline store) answers from the same
      aggregate: byte-identical schedule, same generation *)
-  with_server ~profile_dir (fun socket ->
+  Test_served.with_server ~profile_dir (fun socket ->
       let c = Served.connect ~socket in
       Fun.protect
         ~finally:(fun () -> Served.disconnect c)
@@ -457,7 +433,7 @@ let test_daemon_upload_and_restart () =
               first.Served.s_generation again.Served.s_generation))
 
 let test_daemon_refuses_upload_without_store () =
-  with_server (fun socket ->
+  Test_served.with_server (fun socket ->
       let c = Served.connect ~socket in
       Fun.protect
         ~finally:(fun () -> Served.disconnect c)

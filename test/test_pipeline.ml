@@ -118,7 +118,7 @@ let test_publish_metrics_counters () =
     (c "pipeline.cache.hits")
     (c "pipeline.cache.image.hits" + c "pipeline.cache.analysis.hits"
      + c "pipeline.cache.coverage.hits" + c "pipeline.cache.deps.hits"
-     + c "pipeline.cache.schedule.hits")
+     + c "pipeline.cache.schedule.hits" + c "pipeline.cache.verified.hits")
 
 (* ---- the persistent layer ---- *)
 
@@ -254,6 +254,177 @@ let test_disk_counters_published () =
     (Pipeline.cache_stats s2).Pipeline.hits
     (c "pipeline.cache.hits")
 
+(* ---- the verified artifact ---- *)
+
+module Verify = Janus_verify.Verify
+module Schedule = Janus_schedule.Schedule
+module Suite = Janus_suite.Suite
+
+let verdict (s, demoted, findings) =
+  ( Bytes.to_string (Schedule.to_bytes s),
+    demoted,
+    List.map (Fmt.str "%a" Verify.pp_finding) findings )
+
+let verdict_t = Alcotest.(triple string (list int) (list string))
+
+let verified_stat store =
+  List.find
+    (fun (k : Pipeline.kind_stat) -> k.Pipeline.k_kind = "verified")
+    (Pipeline.kind_stats store)
+
+(* (name, image, schedule): suite schedules of three shapes (DOALL,
+   DOACROSS, fission) and the verifier tests' two corruptions *)
+let verify_cases () =
+  let suite name cfg =
+    let b = Suite.find_exn name in
+    let img = Suite.compile b in
+    let p =
+      Janus.prepare ~cfg ~train_input:(Suite.train_input b)
+        ~store:(Pipeline.store ()) img
+    in
+    (name, img, p.Janus.p_schedule)
+  in
+  let p = Lazy.force Test_verify.prepared in
+  let _, demoting = Test_verify.without_loop_finish p.Janus.p_schedule in
+  [ suite "470.lbm" (Janus.config ());
+    suite "482.sphinx3" (Janus.config ~use_doacross:true ());
+    suite "adv.fission" (Janus.config ~fission:true ());
+    ("a loop demoted", p.Janus.p_image, demoting);
+    ("every rule dropped", p.Janus.p_image,
+     Test_verify.with_dangling_update_bound p.Janus.p_schedule) ]
+
+let test_verified_equals_lint () =
+  let dir = fresh_dir () in
+  let cases = verify_cases () in
+  let n = List.length cases in
+  let check what store =
+    List.iter
+      (fun (name, img, sched) ->
+         Alcotest.check verdict_t (name ^ ", " ^ what)
+           (verdict (Verify.check_and_demote img sched))
+           (verdict (Pipeline.verify ~store img sched)))
+      cases
+  in
+  let s1 = Pipeline.store ~dir () in
+  check "cold" s1;
+  check "warm from memory" s1;
+  let k1 = verified_stat s1 in
+  Alcotest.(check (pair int int)) "one miss, then one memory hit, per case"
+    (n, n) (k1.Pipeline.k_misses, k1.Pipeline.k_mem_hits);
+  let s2 = Pipeline.store ~dir () in
+  check "warm from disk" s2;
+  let k2 = verified_stat s2 in
+  Alcotest.(check (pair int int)) "a fresh store over the directory hits disk"
+    (0, n) (k2.Pipeline.k_misses, k2.Pipeline.k_disk_hits);
+  (* the corruptions exercise both demotion paths *)
+  let outcome name =
+    let _, img, sched = List.find (fun (m, _, _) -> m = name) cases in
+    let s, demoted, _ = Pipeline.verify ~store:s2 img sched in
+    (s.Schedule.rules <> [], demoted <> [])
+  in
+  Alcotest.(check (pair bool bool)) "one loop demoted, the rest kept"
+    (true, true) (outcome "a loop demoted");
+  Alcotest.(check (pair bool bool)) "unattributed error empties the rules"
+    (false, true) (outcome "every rule dropped")
+
+(* [Verify.version] keys persisted verdicts, so a lint change that
+   leaves it alone keeps serving stale verdicts from every store
+   directory. Pin it together with a digest of the verdicts on every
+   suite schedule and the cases above: a change to any finding or
+   demotion fails here until the version and the digest move together.
+   A change to the schedules themselves moves the digest too; bumping
+   the version then costs one cold verdict cache, nothing more. *)
+let test_verify_version_pins_verdicts () =
+  let store = Pipeline.store () in
+  let suite_case (b : Suite.benchmark) =
+    let img = Suite.compile b in
+    let p = Janus.prepare ~train_input:(Suite.train_input b) ~store img in
+    (b.Suite.name, img, p.Janus.p_schedule)
+  in
+  let cases =
+    List.map suite_case
+      (Suite.all @ Suite.adversarial @ [ Suite.find_exn "adv.fission" ])
+    @ verify_cases ()
+  in
+  let rendered =
+    List.map
+      (fun (name, img, sched) ->
+         let bytes, demoted, findings =
+           verdict (Verify.check_and_demote img sched)
+         in
+         String.concat "\n"
+           ((name :: Digest.to_hex (Digest.string bytes)
+             :: List.map string_of_int demoted)
+            @ findings))
+      cases
+  in
+  let digest = Digest.to_hex (Digest.string (String.concat "\n\n" rendered)) in
+  Alcotest.(check (pair string string))
+    "Verify.version moves with the verdicts"
+    ("1", "a93394291ae73619a77aa08b92c9780c") (Verify.version, digest)
+
+let test_corrupt_verified_entry_recomputed () =
+  let dir = fresh_dir () in
+  let p = Lazy.force Test_verify.prepared in
+  let img = p.Janus.p_image and sched = p.Janus.p_schedule in
+  let cold =
+    verdict (Pipeline.verify ~store:(Pipeline.store ~dir ()) img sched)
+  in
+  let entry =
+    match
+      List.filter
+        (fun f -> String.starts_with ~prefix:"verified-" f)
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ e ] -> Filename.concat dir e
+    | es ->
+      Alcotest.failf "expected one verified entry, found %d" (List.length es)
+  in
+  let oc = open_out_bin entry in
+  output_string oc "this is not a verdict";
+  close_out oc;
+  let s2 = Pipeline.store ~dir () in
+  Alcotest.check verdict_t "recomputed verdict identical" cold
+    (verdict (Pipeline.verify ~store:s2 img sched));
+  let k2 = verified_stat s2 in
+  Alcotest.(check (triple int int int)) "one disk error, one recomputation"
+    (1, 1, 0)
+    (k2.Pipeline.k_disk_errors, k2.Pipeline.k_misses, k2.Pipeline.k_disk_hits);
+  (* the recomputation rewrote the entry *)
+  let s3 = Pipeline.store ~dir () in
+  ignore (Pipeline.verify ~store:s3 img sched);
+  let k3 = verified_stat s3 in
+  Alcotest.(check (pair int int)) "rewritten entry loads" (0, 1)
+    (k3.Pipeline.k_misses, k3.Pipeline.k_disk_hits)
+
+let test_verified_keyed_by_schedule_bytes () =
+  let store = Pipeline.store () in
+  let p = Lazy.force Test_verify.prepared in
+  let img = p.Janus.p_image and sched = p.Janus.p_schedule in
+  ignore (Pipeline.verify ~store img sched);
+  ignore
+    (Pipeline.verify ~store img (Test_verify.with_dangling_update_bound sched));
+  Alcotest.(check int) "another schedule on the same image misses" 2
+    (verified_stat store).Pipeline.k_misses;
+  (* a decoded copy is the same bytes, so the same verdict *)
+  ignore
+    (Pipeline.verify ~store img (Schedule.of_bytes (Schedule.to_bytes sched)));
+  let k = verified_stat store in
+  Alcotest.(check (pair int int)) "byte-equal schedule hits" (2, 1)
+    (k.Pipeline.k_misses, k.Pipeline.k_mem_hits)
+
+let test_thread_sweep_verifies_once () =
+  let store = Pipeline.store () in
+  let img = Pipeline.compile ~store kernel in
+  let p = Janus.prepare ~store img in
+  List.iter
+    (fun threads ->
+       ignore (Janus.run_parallel ~cfg:(Janus.config ~threads ()) ~store p))
+    [ 1; 2; 4; 8 ];
+  let k = verified_stat store in
+  Alcotest.(check (pair int int)) "verified once, then three hits" (1, 3)
+    (k.Pipeline.k_misses, k.Pipeline.k_mem_hits + k.Pipeline.k_disk_hits)
+
 (* ---- function-level sharding ---- *)
 
 let test_sharded_analysis_identical () =
@@ -322,6 +493,16 @@ let tests =
       test_concurrent_writers_no_torn_entry;
     Alcotest.test_case "disk counters published to obs" `Quick
       test_disk_counters_published;
+    Alcotest.test_case "verified artifact equals the lint" `Quick
+      test_verified_equals_lint;
+    Alcotest.test_case "verify version pins the verdicts" `Quick
+      test_verify_version_pins_verdicts;
+    Alcotest.test_case "corrupt verified entry is recomputed" `Quick
+      test_corrupt_verified_entry_recomputed;
+    Alcotest.test_case "verified keyed by schedule bytes" `Quick
+      test_verified_keyed_by_schedule_bytes;
+    Alcotest.test_case "thread sweep verifies once" `Quick
+      test_thread_sweep_verifies_once;
     Alcotest.test_case "sharded analysis identical to sequential" `Quick
       test_sharded_analysis_identical;
     Alcotest.test_case "sharded verifier identical to sequential" `Quick

@@ -26,22 +26,46 @@ let fresh_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "janus-served-%d-%d.sock" (Unix.getpid ()) !sock_counter)
 
+(* how long a server may take to stop once it has been asked to *)
+let join_deadline = 60.0
+
 (* run [f] against a live server; create_server binds before [serve]
-   runs, so connecting cannot race the listener *)
-let with_server ?store f =
+   runs, so connecting cannot race the listener. The server is joined
+   only once it has stopped: one that misses its shutdown fails the
+   test after [join_deadline] seconds instead of hanging the suite. *)
+let with_server ?store ?profile_dir f =
+  (* a client that hangs up mid-reply must cost the server an EPIPE
+     (counted in served.errors), not kill the test process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let socket = fresh_socket () in
   let store = match store with Some s -> s | None -> Pipeline.store () in
-  let server = Served.create_server ~store ~socket () in
-  let d = Domain.spawn (fun () -> Served.serve server) in
-  Fun.protect
-    ~finally:(fun () -> Domain.join d)
-    (fun () ->
-      let finish () =
-        let c = Served.connect ~socket in
-        Served.shutdown c;
-        Served.disconnect c
-      in
-      Fun.protect ~finally:finish (fun () -> f socket))
+  let server = Served.create_server ~store ?profile_dir ~socket () in
+  let stopped = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stopped true)
+          (fun () -> Served.serve server))
+  in
+  let finish () =
+    let c = Served.connect ~socket in
+    Served.shutdown c;
+    Served.disconnect c
+  in
+  let r =
+    match Fun.protect ~finally:finish (fun () -> f socket) with
+    | v -> Ok v
+    | exception e -> Error e
+  in
+  let deadline = Unix.gettimeofday () +. join_deadline in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  if not (Atomic.get stopped) then
+    Alcotest.failf "server on %s still running %.0fs after shutdown" socket
+      join_deadline;
+  Domain.join d;
+  match r with Ok v -> v | Error e -> raise e
 
 let compile_kernel () =
   (* compiled client-side so the server's store starts genuinely cold *)
@@ -93,17 +117,29 @@ let test_restart_answers_from_disk () =
     let c = Served.connect ~socket in
     Fun.protect
       ~finally:(fun () -> Served.disconnect c)
-      (fun () -> Served.schedule c img)
+      (fun () ->
+        let r = Served.schedule c img in
+        (r, Served.metrics c))
   in
-  let r1 = with_server ~store:(Pipeline.store ~dir ()) ask in
+  let r1, _ = with_server ~store:(Pipeline.store ~dir ()) ask in
   (* a brand-new daemon process over the same directory: its memory
      layer is empty, yet the answer must be warm and byte-identical *)
-  let r2 = with_server ~store:(Pipeline.store ~dir ()) ask in
+  let r2, m2 = with_server ~store:(Pipeline.store ~dir ()) ask in
   Alcotest.(check bool) "restarted daemon answers warm" true
     r2.Served.s_cache_hit;
   Alcotest.(check string) "restarted daemon answers identically"
     (Bytes.to_string r1.Served.s_schedule)
-    (Bytes.to_string r2.Served.s_schedule)
+    (Bytes.to_string r2.Served.s_schedule);
+  Alcotest.(check (list int)) "same demotions" r1.Served.s_demoted
+    r2.Served.s_demoted;
+  Alcotest.(check int) "same findings" r1.Served.s_findings
+    r2.Served.s_findings;
+  (* the verdict came back from disk too: nothing was re-verified *)
+  let count name = Option.value ~default:(-1) (List.assoc_opt name m2) in
+  Alcotest.(check int) "no verification after restart" 0
+    (count "pipeline.cache.verified.misses");
+  Alcotest.(check int) "verdict loaded from disk" 1
+    (count "pipeline.cache.verified.disk.hits")
 
 let test_garbage_connection_survived () =
   with_server (fun socket ->

@@ -146,6 +146,32 @@ let test_fig7_shape () =
   Alcotest.(check bool) "h264ref slower than native" true
     (run "464.h264ref" janus < 1.0)
 
+(* DOACROSS hands each worker its predecessor's context; the
+   first-private scalar slots must come from the predecessor's slots
+   too, not from main memory's pre-loop value, or sphinx3's final
+   memory differs from native at every thread count above one. The
+   cycles are pinned: the hand-off costs the same either way. *)
+let test_sphinx3_doacross_matches_native () =
+  let b = Suite.find_exn "482.sphinx3" in
+  let img, nat = native b () in
+  Alcotest.(check string) "native digest" "4529edf437ac999a2b7dcc131fc6e848"
+    nat.Janus.mem_digest;
+  let cfg = Janus.config ~use_doacross:true () in
+  let store = Pipeline.store () in
+  let p = Janus.prepare ~cfg ~train_input:(Suite.train_input b) ~store img in
+  List.iter
+    (fun (threads, cycles) ->
+       let r =
+         Janus.run_parallel ~cfg:{ cfg with Janus.threads }
+           ~input:(Suite.ref_input b) ~store p
+       in
+       let name what = Printf.sprintf "%dt %s" threads what in
+       Alcotest.(check string) (name "output") nat.Janus.output r.Janus.output;
+       Alcotest.(check string) (name "mem_digest") nat.Janus.mem_digest
+         r.Janus.mem_digest;
+       Alcotest.(check int) (name "cycles") cycles r.Janus.cycles)
+    [ (2, 50_502_412); (4, 43_187_310); (8, 41_607_669) ]
+
 let tests =
   [
     Alcotest.test_case "all compile and run" `Quick test_all_compile_and_run;
@@ -165,4 +191,6 @@ let tests =
       test_nine_correct_on_o2_binaries;
     Alcotest.test_case "autopar binaries run" `Slow test_autopar_binaries_run;
     Alcotest.test_case "fig7 shape" `Slow test_fig7_shape;
+    Alcotest.test_case "sphinx3 doacross matches native" `Slow
+      test_sphinx3_doacross_matches_native;
   ]

@@ -304,12 +304,9 @@ let test_demote_drops_loop_rules () =
          s'.Schedule.rules
        || List.length lids = 1)
 
-let test_corrupt_schedule_runs_sequentially () =
-  (* drop one loop's LOOP_FINISH rules: the verifier must demote that
-     loop and the run must still produce bit-identical output *)
-  let p = Lazy.force prepared in
-  let native = Janus.run_native p.Janus.p_image in
-  let s = p.Janus.p_schedule in
+(* [s] with one loop's LOOP_FINISH rules dropped, and that loop's id:
+   an error the verifier attributes to the loop, so it demotes it *)
+let without_loop_finish (s : Schedule.t) =
   let victim =
     List.find_map
       (fun (r : Rule.t) ->
@@ -324,7 +321,22 @@ let test_corrupt_schedule_runs_sequentially () =
          not (r.Rule.id = Rule.LOOP_FINISH && Int64.to_int r.Rule.aux = victim))
       s.Schedule.rules
   in
-  let corrupted = { s with Schedule.rules } in
+  (victim, { s with Schedule.rules })
+
+(* [s] plus a LOOP_UPDATE_BOUND outside every loop extent: an error no
+   loop owns, so the verifier drops the whole rule list *)
+let with_dangling_update_bound (s : Schedule.t) =
+  { s with
+    Schedule.rules =
+      s.Schedule.rules
+      @ [ Rule.make ~addr:0x3 ~data:0L ~aux:0L Rule.LOOP_UPDATE_BOUND ] }
+
+let test_corrupt_schedule_runs_sequentially () =
+  (* drop one loop's LOOP_FINISH rules: the verifier must demote that
+     loop and the run must still produce bit-identical output *)
+  let p = Lazy.force prepared in
+  let native = Janus.run_native p.Janus.p_image in
+  let victim, corrupted = without_loop_finish p.Janus.p_schedule in
   let run = Janus.run_scheduled p.Janus.p_image corrupted in
   Alcotest.(check bool) "verifier demoted the corrupted loop" true
     (List.mem victim run.Janus.demoted_loops);
@@ -345,12 +357,7 @@ let test_fully_corrupt_schedule_drops_all_rules () =
      the run degrades to plain DBM, still correct *)
   let p = Lazy.force prepared in
   let native = Janus.run_native p.Janus.p_image in
-  let s = p.Janus.p_schedule in
-  let rules =
-    s.Schedule.rules
-    @ [ Rule.make ~addr:0x3 ~data:0L ~aux:0L Rule.LOOP_UPDATE_BOUND ]
-  in
-  let corrupted = { s with Schedule.rules } in
+  let corrupted = with_dangling_update_bound p.Janus.p_schedule in
   let s', demoted, findings =
     Verify.check_and_demote p.Janus.p_image corrupted
   in
