@@ -67,8 +67,7 @@ let print_metrics store pool =
   (match pool with Some p -> Pool.publish_metrics p obs | None -> ());
   List.iter (fun (k, v) -> Fmt.epr "%-32s %12d@." k v) (Obs.counters obs)
 
-let run names jobs no_cache store_dir profile_dir metrics no_fuse list =
-  if no_fuse then Pipeline.fuse_default := false;
+let run names jobs no_cache store_dir profile_dir metrics list =
   if list then begin
     List.iter (fun (n, d) -> Fmt.pr "%-10s %s@." n d) registry;
     0
@@ -162,14 +161,6 @@ let metrics =
            ~doc:"Print pipeline.cache.* and pool.* counters to stderr\n\
                  when done.")
 
-let no_fuse =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Disable superinstruction fusion in the DBM's code\n\
-                 cache. Fusion is inert at schedule level: output is\n\
-                 byte-identical with or without this flag (CI asserts\n\
-                 exactly that).")
-
 let list =
   Arg.(value & flag
        & info [ "list" ]
@@ -181,6 +172,6 @@ let cmd =
     (Cmd.info "janus_eval"
        ~doc:"Regenerate the paper's evaluation tables and figures")
     Term.(const run $ names $ jobs $ no_cache $ store_dir $ profile_dir
-          $ metrics $ no_fuse $ list)
+          $ metrics $ list)
 
 let () = exit (Cmd.eval' cmd)

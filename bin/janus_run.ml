@@ -33,8 +33,7 @@ let print_obs obs ~trace_summary ~metrics =
 
 let run input mode threads scale train_scale schedule_file prefetch fission
     model_cache fuel trace_out trace_jsonl trace_summary metrics adapt
-    adapt_report emit_profile no_fuse =
-  if no_fuse then Janus_core.Pipeline.fuse_default := false;
+    adapt_report emit_profile =
   let bytes =
     In_channel.with_open_bin input (fun ic ->
         Bytes.of_string (In_channel.input_all ic))
@@ -48,7 +47,7 @@ let run input mode threads scale train_scale schedule_file prefetch fission
   let adapt = adapt || adapt_report <> None || emit_profile <> None in
   let cfg =
     Janus.config ~threads ~prefetch ~fission ~model_cache ~fuel ~trace:tracing
-      ~adapt ~fuse:(not no_fuse) ()
+      ~adapt ()
   in
   let schedule =
     match schedule_file with
@@ -254,19 +253,12 @@ let emit_profile =
                  image digest) for janus_pgo / janus_eval --profile-dir;\n\
                  implies --adapt.")
 
-let no_fuse =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Disable superinstruction fusion in the DBM's code cache.\n\
-                 Fusion is inert at schedule level: outputs, cycles and\n\
-                 memory digests are byte-identical with or without it.")
-
 let cmd =
   Cmd.v
     (Cmd.info "janus_run" ~doc:"Run a JX binary (native / dbm / janus)")
     Term.(const run $ input $ mode $ threads $ scale $ train_scale
           $ schedule_file $ prefetch $ fission $ model_cache $ fuel
           $ trace_out $ trace_jsonl $ trace_summary $ metrics $ adapt
-          $ adapt_report $ emit_profile $ no_fuse)
+          $ adapt_report $ emit_profile)
 
 let () = exit (Cmd.eval' cmd)

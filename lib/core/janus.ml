@@ -61,9 +61,6 @@ type config = Pipeline.config = {
                                re-promotion, sample unprofiled dynamic
                                loops (off: bit-identical to before the
                                governor existed) *)
-  fuse : bool;              (* superinstruction fusion in DBM fragments
-                               (schedule-inert: outputs, cycles and
-                               digests bit-identical either way) *)
 }
 
 let config = Pipeline.config
@@ -174,7 +171,7 @@ let result_of_dbm_run image ~schedule_size ~selected ?(demoted = []) ~checks
 let run_dbm_only ?(fuel = 400_000_000) ?(input = []) ?(trace = false) image =
   let prog = Program.load image in
   let obs = Obs.create ~enabled:trace () in
-  let dbm = Dbm.create ~obs ~fuse:!Pipeline.fuse_default prog in
+  let dbm = Dbm.create ~obs prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
   List.iter (fun v -> Queue.push v ctx.Machine.input) input;
@@ -264,7 +261,7 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
   let schedule, demoted, _ = gate ~cfg ?store ?pool p.p_image p.p_schedule in
   let prog = Program.load p.p_image in
   let obs = Obs.create ~enabled:cfg.trace () in
-  let dbm = Dbm.create ~schedule ~obs ~fuse:cfg.fuse prog in
+  let dbm = Dbm.create ~schedule ~obs prog in
   let rt_config =
     { Runtime.threads = cfg.threads; force_policy = cfg.force_policy;
       stm_access_limit = 4096; stm_everywhere = cfg.stm_everywhere;
@@ -381,7 +378,7 @@ let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
   let schedule, demoted, _ = gate ~cfg ?pool image schedule in
   let prog = Program.load image in
   let obs = Obs.create ~enabled:cfg.trace () in
-  let dbm = Dbm.create ~schedule ~obs ~fuse:cfg.fuse prog in
+  let dbm = Dbm.create ~schedule ~obs prog in
   let rt_config =
     { Runtime.threads = cfg.threads; force_policy = cfg.force_policy;
       stm_access_limit = 4096; stm_everywhere = cfg.stm_everywhere;

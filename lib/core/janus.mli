@@ -73,11 +73,6 @@ type config = Pipeline.config = {
           profiler's shadow memory (training-free mode). Off by
           default; when off, cycle counts are bit-identical to a
           governor-free build *)
-  fuse : bool;
-      (** superinstruction fusion in DBM fragments ({!Janus_dbm.Dbm}):
-          hot event-free instruction pairs execute as one step. On by
-          default and inert at schedule level — outputs, virtual cycles
-          and memory digests are bit-identical either way *)
 }
 
 (** Build a configuration; the defaults reproduce the paper's full
@@ -99,7 +94,6 @@ val config :
   ?fuel:int ->
   ?trace:bool ->
   ?adapt:bool ->
-  ?fuse:bool ->
   unit ->
   config
 

@@ -30,26 +30,17 @@ type config = {
   fuel : int;
   trace : bool;
   adapt : bool;
-  fuse : bool;
 }
-
-(* Process-wide default for superinstruction fusion, so CLI kill
-   switches (--no-fuse) reach every internally-built config without
-   threading a parameter through each experiment. Fusion is an
-   execute-stage concern: it never appears in selection keys, so
-   toggling it cannot perturb cached schedules. *)
-let fuse_default = ref true
 
 let config ?(threads = 8) ?(use_profile = true) ?(use_checks = true)
     ?(use_doacross = false) ?(cov_threshold = 0.03) ?(trip_threshold = 8.0)
     ?(work_threshold = 2500.0) ?force_policy ?(stm_everywhere = false)
     ?(prefetch = false) ?(fission = false) ?(model_cache = false)
     ?(verify = true) ?(fuel = 400_000_000) ?(trace = false)
-    ?(adapt = false) ?fuse () =
-  let fuse = match fuse with Some f -> f | None -> !fuse_default in
+    ?(adapt = false) () =
   { threads; use_profile; use_checks; use_doacross; cov_threshold;
     trip_threshold; work_threshold; force_policy; stm_everywhere;
-    prefetch; fission; model_cache; verify; fuel; trace; adapt; fuse }
+    prefetch; fission; model_cache; verify; fuel; trace; adapt }
 
 (* Aggregated fleet evidence (built by janus_pgo from a persistent
    profile store) substituted for the one-shot training profile. The

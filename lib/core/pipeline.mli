@@ -52,13 +52,7 @@ type config = {
   fuel : int;
   trace : bool;
   adapt : bool;
-  fuse : bool;
 }
-
-(** Process-wide default for {!field:config.fuse} (the [--no-fuse] kill
-    switch sets it to [false]). Execute-stage only: never part of a
-    selection key, so toggling it cannot perturb cached schedules. *)
-val fuse_default : bool ref
 
 val config :
   ?threads:int ->
@@ -77,7 +71,6 @@ val config :
   ?fuel:int ->
   ?trace:bool ->
   ?adapt:bool ->
-  ?fuse:bool ->
   unit ->
   config
 

@@ -51,6 +51,7 @@ type fragment = {
   f_start : int;
   f_slots : slot array;
   f_steps : step array;   (* what exec_fragment actually runs *)
+  f_ends_indirect : bool; (* last slot is an indirect jmp/call or a ret *)
   mutable f_execs : int;
   mutable f_is_trace : bool;
   mutable f_linked : bool;
@@ -308,6 +309,16 @@ let fuse_steps fuse (slots : slot array) =
 (* Translation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* does a fragment of these slots exit through an indirect transfer?
+   (the next dispatch then pays the indirect cost) *)
+let ends_indirect (slots : slot array) =
+  let n = Array.length slots in
+  n > 0
+  &&
+  match slots.(n - 1).s_insn with
+  | Insn.Jmp (Insn.Indirect _) | Insn.Call (Insn.Indirect _) | Insn.Ret -> true
+  | _ -> false
+
 (* does this cache's fission filter elide [insn] at [a]? control flow
    is never elided — fission replicates it into every sub-loop *)
 let elided (cache : cache) a insn =
@@ -372,6 +383,7 @@ let translate t (cache : cache) ctx addr =
    | _ -> ());
   let frag =
     { f_start = addr; f_slots = slots; f_steps = fuse_steps t.fuse slots;
+      f_ends_indirect = ends_indirect slots;
       f_execs = 0; f_is_trace = false; f_linked = false }
   in
   Hashtbl.replace cache.frags addr frag;
@@ -441,6 +453,7 @@ let promote_trace t (cache : cache) ctx frag =
     let slots = Array.of_list (List.rev !slots) in
     { f_start = frag.f_start; f_slots = slots;
       f_steps = fuse_steps t.fuse slots;
+      f_ends_indirect = ends_indirect slots;
       f_execs = frag.f_execs; f_is_trace = true; f_linked = true }
   in
   Hashtbl.replace cache.frags frag.f_start nf;
@@ -452,10 +465,28 @@ let promote_trace t (cache : cache) ctx frag =
 
 exception Bad_pc of int
 
+(* How a fragment execution ends. On [Next], [ctx.rip] holds the
+   application address control continues at. *)
 type outcome =
-  | Next of int       (* control continues at an application address *)
+  | Next
   | Halted
   | Yielded           (* an event handler stopped the thread *)
+
+(* fire a slot's events in schedule order, stopping at the first that
+   diverts or yields *)
+let rec fire t (cache : cache) ctx slot = function
+  | [] -> Continue
+  | r :: tl -> begin
+      (match t.obs with
+       | Some o when Obs.tracing o ->
+         Obs.emit o ~tid:(tid_of cache.kind) ~ts:ctx.Machine.cycles
+           (Obs.Rule_fired
+              { rule = Rule.id_name r.Rule.id; addr = slot.s_addr })
+       | _ -> ());
+      match t.on_event t cache.kind ctx r with
+      | Continue -> fire t cache ctx slot tl
+      | (Divert _ | Stop_thread) as a -> a
+    end
 
 let exec_fragment t (cache : cache) ctx frag =
   frag.f_execs <- frag.f_execs + 1;
@@ -466,29 +497,20 @@ let exec_fragment t (cache : cache) ctx frag =
     if i >= n then begin
       (* fell off the end: block ended by running into a leader *)
       let last = frag.f_slots.(nslots - 1) in
-      Next (last.s_addr + last.s_len)
+      ctx.Machine.rip <- last.s_addr + last.s_len;
+      Next
     end
     else begin
       match Array.unsafe_get steps i with
       | Step slot -> begin
         ctx.Machine.rip <- slot.s_addr;
-        (* fire events in schedule order *)
-        let rec fire = function
-          | [] -> Continue
-          | r :: tl -> begin
-              (match t.obs with
-               | Some o when Obs.tracing o ->
-                 Obs.emit o ~tid:(tid_of cache.kind) ~ts:ctx.Machine.cycles
-                   (Obs.Rule_fired
-                      { rule = Rule.id_name r.Rule.id; addr = slot.s_addr })
-               | _ -> ());
-              match t.on_event t cache.kind ctx r with
-              | Continue -> fire tl
-              | (Divert _ | Stop_thread) as a -> a
-            end
-        in
-        match fire slot.s_events with
-        | Divert a -> Next a
+        match
+          if slot.s_events == [] then Continue
+          else fire t cache ctx slot slot.s_events
+        with
+        | Divert a ->
+          ctx.Machine.rip <- a;
+          Next
         | Stop_thread -> Yielded
         | Continue -> begin
             match
@@ -496,7 +518,9 @@ let exec_fragment t (cache : cache) ctx frag =
                 ~cost:slot.s_cost
             with
             | Semantics.Fall -> go (i + 1)
-            | Semantics.Goto a -> Next a
+            | Semantics.Goto a ->
+              ctx.Machine.rip <- a;
+              Next
             | Semantics.Stop -> Halted
           end
       end
@@ -507,107 +531,89 @@ let exec_fragment t (cache : cache) ctx frag =
         ctx.Machine.rip <- addr;
         ctx.Machine.cycles <- ctx.Machine.cycles + cost;
         ctx.Machine.icount <- ctx.Machine.icount + 2;
-        Semantics.set_flags_cmp ctx (Semantics.value ctx a)
-          (Semantics.value ctx b);
-        if Semantics.eval_cond ctx cond then Next target else go (i + 1)
+        if Semantics.cmp_jcc ctx a b cond then begin
+          ctx.Machine.rip <- target;
+          Next
+        end
+        else go (i + 1)
       | Alu_cmp { addr; op; d; s; a; b; cost } ->
         ctx.Machine.rip <- addr;
         ctx.Machine.cycles <- ctx.Machine.cycles + cost;
         ctx.Machine.icount <- ctx.Machine.icount + 2;
-        (* the ALU result's flags are dead — the compare fully rewrites
-           the packed flag word — so only the compare's flags are set *)
-        Semantics.store ctx d
-          (Semantics.alu_op op (Semantics.value ctx d) (Semantics.value ctx s));
-        Semantics.set_flags_cmp ctx (Semantics.value ctx a)
-          (Semantics.value ctx b);
+        Semantics.alu_cmp ctx op d s a b;
         go (i + 1)
       | Mov_alu { addr; d1; s1; op; d2; s2; cost } ->
         ctx.Machine.rip <- addr;
         ctx.Machine.cycles <- ctx.Machine.cycles + cost;
         ctx.Machine.icount <- ctx.Machine.icount + 2;
-        Semantics.store ctx d1 (Semantics.value ctx s1);
-        let v =
-          Semantics.alu_op op (Semantics.value ctx d2) (Semantics.value ctx s2)
-        in
-        Semantics.store ctx d2 v;
-        Semantics.set_flags_result ctx v;
+        Semantics.mov_alu ctx d1 s1 op d2 s2;
         go (i + 1)
     end
   in
   if nslots = 0 then raise (Bad_pc frag.f_start) else go 0
 
+(* The fragment to run at [addr], charging the dispatch: translated on
+   a miss, promoted to a trace once hot. *)
+let dispatch t (cache : cache) ctx addr =
+  match Hashtbl.find cache.frags addr with
+  | f ->
+    t.stats.dispatches <- t.stats.dispatches + 1;
+    (* dispatch cost: indirect transitions always pay; direct ones pay
+       until the fragment is linked *)
+    if cache.last_indirect then
+      ctx.Machine.cycles <- ctx.Machine.cycles + Cost.dispatch_indirect
+    else if not f.f_linked then begin
+      ctx.Machine.cycles <- ctx.Machine.cycles + Cost.dispatch_unlinked;
+      if f.f_execs >= 1 then begin
+        f.f_linked <- true;
+        match t.obs with
+        | Some o when Obs.tracing o ->
+          Obs.emit o ~tid:(tid_of cache.kind) ~ts:ctx.Machine.cycles
+            (Obs.Fragment_linked { addr })
+        | _ -> ()
+      end
+    end;
+    if (not f.f_is_trace) && f.f_execs >= t.promote_threshold then
+      promote_trace t cache ctx f
+    else f
+  | exception Not_found ->
+    if Program.fetch t.prog addr = None then raise (Bad_pc addr);
+    (* a context switch into the code cache happens on this path too:
+       the dispatch census must include every fragment's first
+       (translate-path) execution. Only the counter moves here — the
+       cycle model already charges this transition as part of the
+       translation cost. *)
+    t.stats.dispatches <- t.stats.dispatches + 1;
+    translate t cache ctx addr
+
 (** Run [ctx] under the DBM until the program halts, an event yields
     the thread, or [fuel] runs out (reported as a typed result carrying
     the application address being dispatched, not an exception). *)
 let run ?(fuel = 100_000_000) t (cache : cache) ctx =
-  let remaining = ref fuel in
-  let finished = ref None in
-  while !finished = None do
-    if !remaining <= 0 then
-      finished := Some (`Out_of_fuel ctx.Machine.rip)
+  let rec loop remaining =
+    if remaining <= 0 then `Out_of_fuel ctx.Machine.rip
     else begin
-    decr remaining;
-    let addr = ctx.Machine.rip in
-    (* intrinsic intercepted exactly as in native execution: one compare
-       against the PLT slot address resolved at load *)
-    (if addr = t.prog.Program.par_for_addr then begin
-       Run.par_for t.prog ctx ~fuel:1_000_000_000;
-       ctx.Machine.rip <- Int64.to_int (Semantics.pop ctx)
-     end
-     else
-       let frag =
-         match Hashtbl.find_opt cache.frags addr with
-         | Some f ->
-           (* dispatch cost: indirect transitions always pay; direct
-              ones pay until the fragment is linked *)
-           t.stats.dispatches <- t.stats.dispatches + 1;
-           if cache.last_indirect then
-             ctx.Machine.cycles <- ctx.Machine.cycles + Cost.dispatch_indirect
-           else if not f.f_linked then begin
-             ctx.Machine.cycles <- ctx.Machine.cycles + Cost.dispatch_unlinked;
-             if f.f_execs >= 1 then begin
-               f.f_linked <- true;
-               match t.obs with
-               | Some o when Obs.tracing o ->
-                 Obs.emit o ~tid:(tid_of cache.kind) ~ts:ctx.Machine.cycles
-                   (Obs.Fragment_linked { addr })
-               | _ -> ()
-             end
-           end;
-           if (not f.f_is_trace) && f.f_execs >= t.promote_threshold then
-             promote_trace t cache ctx f
-           else f
-         | None ->
-           if Program.fetch t.prog addr = None then raise (Bad_pc addr);
-           (* a context switch into the code cache happens on this path
-              too: the dispatch census must include every fragment's
-              first (translate-path) execution. Only the counter moves
-              here — the cycle model already charges this transition as
-              part of the translation cost. *)
-           t.stats.dispatches <- t.stats.dispatches + 1;
-           translate t cache ctx addr
-       in
-       (* remember whether this fragment exits indirectly *)
-       let ends_indirect =
-         let n = Array.length frag.f_slots in
-         n > 0
-         &&
-         match frag.f_slots.(n - 1).s_insn with
-         | Insn.Jmp (Insn.Indirect _) | Insn.Call (Insn.Indirect _)
-         | Insn.Ret -> true
-         | _ -> false
-       in
-       (match exec_fragment t cache ctx frag with
-        | Next a ->
-          cache.last_indirect <- ends_indirect;
-          ctx.Machine.rip <- a
-        | Halted -> finished := Some `Halted
-        | Yielded -> finished := Some `Yielded))
+      let addr = ctx.Machine.rip in
+      (* intrinsic intercepted exactly as in native execution: one
+         compare against the PLT slot address resolved at load *)
+      if addr = t.prog.Program.par_for_addr then begin
+        Run.par_for t.prog ctx ~fuel:1_000_000_000;
+        ctx.Machine.rip <- Int64.to_int (Semantics.pop ctx);
+        loop (remaining - 1)
+      end
+      else begin
+        let frag = dispatch t cache ctx addr in
+        match exec_fragment t cache ctx frag with
+        | Next ->
+          (* the next dispatch pays for an indirect exit *)
+          cache.last_indirect <- frag.f_ends_indirect;
+          loop (remaining - 1)
+        | Halted -> `Halted
+        | Yielded -> `Yielded
+      end
     end
-  done;
-  match !finished with
-  | Some r -> r
-  | None -> assert false
+  in
+  loop fuel
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)

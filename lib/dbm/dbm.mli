@@ -50,6 +50,10 @@ type fragment = {
   f_start : int;
   f_slots : slot array;
   f_steps : step array;      (** what the executor actually runs *)
+  f_ends_indirect : bool;
+      (** the last slot is an indirect jump or call, or a return, so
+          the next dispatch pays the indirect cost (fixed at
+          translation) *)
   mutable f_execs : int;
   mutable f_is_trace : bool;
   mutable f_linked : bool;
@@ -89,9 +93,9 @@ type t = {
           (default {!Janus_vx.Cost.trace_head_threshold}; [1] promotes
           eagerly, [max_int] disables promotion) *)
   fuse : bool;
-      (** fuse hot instruction pairs in translated fragments (default
-          on; inert at schedule level — outputs, cycles and memory
-          digests are bit-identical either way) *)
+      (** fuse hot instruction pairs in translated fragments (always on
+          outside tests, which turn it off to prove it inert: outputs,
+          cycles and memory digests are bit-identical either way) *)
   mutable obs : Obs.t option;  (** tracing/metrics sink, off by default *)
   mutable on_event : t -> thread_kind -> Machine.t -> Rule.t -> action;
 }

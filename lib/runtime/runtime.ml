@@ -503,8 +503,8 @@ let run_parallel_loop ?caches ?max_threads ?iv_range t (main : Machine.t)
      | Some (wl, ctx_l) ->
        let rsp_l = Int64.to_int (Machine.get ctx_l Reg.RSP) in
        copy_frame main.Machine.mem ~src:rsp_l ~dst:rsp_main ~bytes:fcb;
-       Array.blit ctx_l.Machine.regs 0 main.Machine.regs 0
-         (Array.length main.Machine.regs);
+       Bytes.blit ctx_l.Machine.regs 0 main.Machine.regs 0
+         (Bytes.length main.Machine.regs);
        Array.blit ctx_l.Machine.fregs 0 main.Machine.fregs 0
          (Array.length main.Machine.fregs);
        main.Machine.flags <- ctx_l.Machine.flags;

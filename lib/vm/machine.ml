@@ -2,29 +2,21 @@
     and cycle counters. One context per hardware thread; all contexts
     of a run share one {!Memory.t} and output buffer.
 
-    The hot state is flat: the four condition flags are packed into one
-    mutable int (a single store per flag-setting instruction, a single
-    load per conditional) and the FP register file is one unboxed
-    [float array] of [fp_count * 4] lanes, so forks, checkpoints and
-    rollbacks are single [Array.blit]s with no per-register boxing. *)
+    The hot state is flat and unboxed: the general-purpose register
+    file is one [Bytes.t] of [gp_count * 8] bytes (a register write is
+    an 8-byte store, with no box and no write barrier), the FP register
+    file is one [float array] of [fp_count * 4] lanes, and the four
+    condition flags are packed into one mutable int whose bit layout
+    {!Semantics} owns. Forks, checkpoints and rollbacks are single
+    copies or blits. *)
 
 open Janus_vx
 
-(** {2 Packed condition flags}
-
-    Bit layout of the [flags] word; [flags_zf] etc. test a bit,
-    [pack_flags] builds a word from the four booleans. *)
-
-let flag_zf = 1          (* zero: last compare was equal / result zero *)
-let flag_lt = 2          (* signed less-than of the last compare *)
-let flag_ult = 4         (* unsigned less-than *)
-let flag_sf = 8          (* sign of the last result *)
-
-let pack_flags ~zf ~lt ~ult ~sf =
-  (if zf then flag_zf else 0)
-  lor (if lt then flag_lt else 0)
-  lor (if ult then flag_ult else 0)
-  lor (if sf then flag_sf else 0)
+(* Register [i] lives in bytes [8*i, 8*i+8) in host byte order.
+   {!Semantics} reads and writes the same layout with its own copies of
+   these primitives (see the comment there), so the two must agree. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (** A word-based software transaction (paper §II-E2). While installed,
     rewritten memory accesses buffer stores and record read versions;
@@ -37,17 +29,25 @@ type txn = {
   treads : (int, int64) Hashtbl.t;   (* address -> value observed *)
   twrites : (int, int64) Hashtbl.t;  (* address -> buffered value *)
   mutable taborted : bool;
-  checkpoint_regs : int64 array;
+  checkpoint_regs : Bytes.t;
   checkpoint_fregs : float array;
   checkpoint_rip : int;
   checkpoint_flags : int;
   checkpoint_brk : int;
 }
 
+(* Warm cache lines, keyed by line number. Eviction order lives in
+   [warm_fifo], so the table's iteration order is never observable. *)
+module Lines = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash (l : int) = l
+  end)
+
 type t = {
-  regs : int64 array;          (* indexed by Reg.gp_index *)
+  regs : Bytes.t;              (* register i at bytes 8*i .. 8*i+7 *)
   fregs : float array;         (* flat: register r, lane l at r*4+l *)
-  mutable flags : int;         (* packed flag_zf/lt/ult/sf bits *)
+  mutable flags : int;         (* packed condition flags (Semantics) *)
   mutable rip : int;
   mem : Memory.t;
   mutable cycles : int;
@@ -60,7 +60,7 @@ type t = {
   mutable observe : (rw -> addr:int -> bytes:int -> unit) option;
   mutable brk : int;           (* heap bump pointer *)
   mutable model_cache : bool;  (* charge Cost.cache_miss on cold lines *)
-  warm : (int, unit) Hashtbl.t;   (* warm cache lines (line number) *)
+  warm : unit Lines.t;            (* warm cache lines (line number) *)
   warm_fifo : int Queue.t;        (* insertion order, for eviction *)
 }
 
@@ -68,7 +68,7 @@ and rw = Read | Write
 
 let create ?(out = Buffer.create 256) mem =
   {
-    regs = Array.make Reg.gp_count 0L;
+    regs = Bytes.make (Reg.gp_count * 8) '\000';
     fregs = Array.make (Reg.fp_count * 4) 0.0;
     flags = 0;
     rip = 0;
@@ -83,7 +83,7 @@ let create ?(out = Buffer.create 256) mem =
     observe = None;
     brk = Layout.heap_base;
     model_cache = false;
-    warm = Hashtbl.create 256;
+    warm = Lines.create 256;
     warm_fifo = Queue.create ();
   }
 
@@ -91,7 +91,7 @@ let create ?(out = Buffer.create 256) mem =
     with [parent] but with its own registers, flags and counters. *)
 let fork parent =
   {
-    regs = Array.copy parent.regs;
+    regs = Bytes.copy parent.regs;
     fregs = Array.copy parent.fregs;
     flags = parent.flags;
     rip = parent.rip;
@@ -107,16 +107,17 @@ let fork parent =
     brk = parent.brk;
     (* each virtual core has a private cache: fresh (cold) warm set *)
     model_cache = parent.model_cache;
-    warm = Hashtbl.create 256;
+    warm = Lines.create 256;
     warm_fifo = Queue.create ();
   }
 
 (* Reg.gp_index/fp_index are total over their constructors and lanes
    are bounded by Insn.lanes, so the register files never index out of
-   range — unsafe accesses keep the interpreter's hottest loads and
-   stores bounds-check-free. *)
-let get ctx r = Array.unsafe_get ctx.regs (Reg.gp_index r)
-let set ctx r v = Array.unsafe_set ctx.regs (Reg.gp_index r) v
+   range — unsafe accesses keep the loads and stores bounds-check-free.
+   These are the cold callers' accessors; the interpreter's hot path
+   has its own in Semantics. *)
+let get ctx r = get64 ctx.regs (Reg.gp_index r lsl 3)
+let set ctx r v = set64 ctx.regs (Reg.gp_index r lsl 3) v
 let getf ctx r lane = Array.unsafe_get ctx.fregs ((Reg.fp_index r * 4) + lane)
 
 let setf ctx r lane v =
@@ -128,7 +129,7 @@ let start_txn ctx =
       treads = Hashtbl.create 32;
       twrites = Hashtbl.create 32;
       taborted = false;
-      checkpoint_regs = Array.copy ctx.regs;
+      checkpoint_regs = Bytes.copy ctx.regs;
       checkpoint_fregs = Array.copy ctx.fregs;
       checkpoint_rip = ctx.rip;
       checkpoint_flags = ctx.flags;
@@ -139,7 +140,7 @@ let start_txn ctx =
   t
 
 let rollback ctx t =
-  Array.blit t.checkpoint_regs 0 ctx.regs 0 (Array.length ctx.regs);
+  Bytes.blit t.checkpoint_regs 0 ctx.regs 0 (Bytes.length ctx.regs);
   Array.blit t.checkpoint_fregs 0 ctx.fregs 0 (Array.length ctx.fregs);
   ctx.rip <- t.checkpoint_rip;
   ctx.flags <- t.checkpoint_flags;
@@ -153,12 +154,12 @@ let end_txn ctx = ctx.txn <- None
 (** Mark the line containing [addr] warm (evicting FIFO at capacity). *)
 let warm_line ctx addr =
   let line = addr / Janus_vx.Cost.cache_line in
-  if not (Hashtbl.mem ctx.warm line) then begin
-    Hashtbl.replace ctx.warm line ();
+  if not (Lines.mem ctx.warm line) then begin
+    Lines.replace ctx.warm line ();
     Queue.push line ctx.warm_fifo;
     if Queue.length ctx.warm_fifo > Janus_vx.Cost.cache_lines then begin
       let victim = Queue.pop ctx.warm_fifo in
-      Hashtbl.remove ctx.warm victim
+      Lines.remove ctx.warm victim
     end
   end
 
@@ -167,7 +168,7 @@ let warm_line ctx addr =
 let touch_line ctx addr =
   if ctx.model_cache then begin
     let line = addr / Janus_vx.Cost.cache_line in
-    if not (Hashtbl.mem ctx.warm line) then begin
+    if not (Lines.mem ctx.warm line) then begin
       ctx.cycles <- ctx.cycles + Janus_vx.Cost.cache_miss;
       warm_line ctx addr
     end

@@ -2,26 +2,15 @@
     and cycle counters. One context per virtual hardware thread; all
     contexts of a run share one {!Memory.t} and output buffer.
 
-    Hot state is flat for cache-consciousness: the four condition flags
-    live packed in one mutable int and the FP register file is a single
-    unboxed [float array] ([fp_count * 4] lanes), so forks, checkpoints
-    and rollbacks are single blits. *)
+    Hot state is flat and unboxed: the general-purpose register file is
+    one [Bytes.t] ([gp_count * 8] bytes, so a register write is an
+    8-byte store with no box and no write barrier), the FP register
+    file is one [float array] ([fp_count * 4] lanes), and the four
+    condition flags live packed in one mutable int whose bit layout
+    {!Semantics} owns. Forks, checkpoints and rollbacks are single
+    copies or blits. *)
 
 open Janus_vx
-
-(** {2 Packed condition flags} *)
-
-(** Bit masks within the packed flags word: zero (last compare equal /
-    last result zero), signed less-than, unsigned less-than, and the
-    sign of the last result. *)
-
-val flag_zf : int
-val flag_lt : int
-val flag_ult : int
-val flag_sf : int
-
-(** Pack the four flag booleans into a flags word. *)
-val pack_flags : zf:bool -> lt:bool -> ult:bool -> sf:bool -> int
 
 (** A word-based software transaction (§II-E2): while installed,
     memory accesses buffer stores and record read versions. The
@@ -32,17 +21,23 @@ type txn = {
   treads : (int, int64) Hashtbl.t;   (** address -> value observed *)
   twrites : (int, int64) Hashtbl.t;  (** address -> buffered value *)
   mutable taborted : bool;
-  checkpoint_regs : int64 array;
+  checkpoint_regs : Bytes.t;
   checkpoint_fregs : float array;
   checkpoint_rip : int;
   checkpoint_flags : int;
   checkpoint_brk : int;
 }
 
+(** Int-keyed table of warm cache lines. *)
+module Lines : Hashtbl.S with type key = int
+
 type t = {
-  regs : int64 array;          (** indexed by {!Reg.gp_index} *)
+  regs : Bytes.t;
+      (** register [r] in bytes [8 * Reg.gp_index r] to [+7], host byte
+          order; read and write it through {!get}/{!set} *)
   fregs : float array;         (** flat: register r, lane l at r*4+l *)
-  mutable flags : int;         (** packed {!flag_zf}/{!flag_lt}/... bits *)
+  mutable flags : int;
+      (** packed condition flags; {!Semantics} sets and tests the bits *)
   mutable rip : int;
   mem : Memory.t;
   mutable cycles : int;        (** modelled cycles *)
@@ -57,7 +52,7 @@ type t = {
   mutable brk : int;           (** heap bump pointer *)
   mutable model_cache : bool;
       (** charge {!Cost.cache_miss} on cold-line accesses *)
-  warm : (int, unit) Hashtbl.t;  (** warm cache lines (line numbers) *)
+  warm : unit Lines.t;           (** warm cache lines (line numbers) *)
   warm_fifo : int Queue.t;       (** insertion order, for eviction *)
 }
 

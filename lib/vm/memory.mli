@@ -13,7 +13,21 @@ type region = {
   name : string;
 }
 
-type t
+(** Pages are [1 lsl page_bits] bytes. *)
+val page_bits : int
+
+(** The representation is exposed so {!Semantics} can inline the
+    64-bit fast path (see {!read_i64}); everything else goes through
+    the functions below. [pages.(addr lsr page_bits)] is the region
+    covering that page, or a sentinel whose bounds no address
+    satisfies; [regions] is the authoritative list. *)
+type t = {
+  mutable regions : region list;
+  mutable pages : region array;
+}
+
+(** The page-table entry of an unmapped page: no address lies in it. *)
+val no_region : region
 
 val create : unit -> t
 
@@ -33,7 +47,15 @@ val check : t -> int -> int -> unit
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
+
+(** 64-bit little-endian load and store. An in-bounds access to a
+    region's materialised prefix through the page table is the fast
+    path; any other access ({!Fault} included) takes a slow path that
+    materialises on demand. A caller's own copy of the fast path must
+    fall back to these functions, which then reproduce the same result
+    or fault. *)
 val read_i64 : t -> int -> int64
+
 val write_i64 : t -> int -> int64 -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit

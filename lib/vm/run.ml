@@ -51,7 +51,7 @@ let default_fuel = 200_000_000
 (** Execute starting at [ctx.rip] until the program halts or control
     returns to the sentinel address.
 
-    The loop is allocation-free on app-text and library code: the
+    Fetch is allocation-free on app-text and library code: the
     instruction, its length and its precomputed cost come from the
     program's flat side tables, and the [__par_for] intrinsic test is
     one compare against the address resolved at load. Only genuinely

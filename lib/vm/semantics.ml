@@ -3,7 +3,20 @@
 
     Memory accesses respect the context's transaction (speculative
     buffering) and observation hook (dependence profiling), so the STM
-    and profiler interpose without duplicating the interpreter. *)
+    and profiler interpose without duplicating the interpreter.
+
+    Every per-instruction helper below is [@inline] and defined in this
+    module: the hot path never calls into {!Machine}, {!Memory} or
+    [Janus_vx] per instruction. Dev builds compile each module with
+    [-opaque], which turns off cross-module inlining, so such a call
+    would be a real call, and an [int64] returned from it a fresh box.
+    Inlined here, register values, operands and memory words stay
+    unboxed from load to store. Two rules keep them unboxed:
+    - an [int64] used more than once is bound by a source-level [let]
+      (typed, so the compiler unboxes it even when one branch is a
+      slow-path call), never passed as a non-trivial argument to an
+      inlined helper (the compiler binds such arguments untyped);
+    - a value crosses into a non-inlined function only on a slow path. *)
 
 open Janus_vx
 
@@ -14,20 +27,41 @@ type control =
 
 exception Div_by_zero of int  (* rip *)
 
-let addr_of_mem ctx (m : Operand.mem) =
+(* Register files *)
+
+(* The same byte layout as Machine.get/set: register i at 8*i, host
+   byte order. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] reg ctx r = get64 ctx.Machine.regs (Reg.gp_index r lsl 3)
+let[@inline] set_reg ctx r (v : int64) =
+  set64 ctx.Machine.regs (Reg.gp_index r lsl 3) v
+
+let[@inline] lane_index (Reg.XMM n) lane = (n * 4) + lane
+let[@inline] freg ctx r lane =
+  Array.unsafe_get ctx.Machine.fregs (lane_index r lane)
+let[@inline] set_freg ctx r lane (v : float) =
+  Array.unsafe_set ctx.Machine.fregs (lane_index r lane) v
+
+let[@inline] addr_of_mem ctx (m : Operand.mem) =
   let base =
-    match m.base with Some r -> Int64.to_int (Machine.get ctx r) | None -> 0
+    match m.base with Some r -> Int64.to_int (reg ctx r) | None -> 0
   in
   let index =
     match m.index with
-    | Some r -> Int64.to_int (Machine.get ctx r) * m.scale
+    | Some r -> Int64.to_int (reg ctx r) * m.scale
     | None -> 0
   in
   base + index + m.disp
 
-(* Word-granularity speculative and observed access. *)
+(* Memory *)
 
-let raw_read ctx addr =
+(* The hooked path: observer first, then the cache model, then the
+   transaction. Word-granularity speculative and observed access. *)
+
+let[@inline never] read_hooked ctx addr =
   (match ctx.Machine.observe with
    | Some f -> f Machine.Read ~addr ~bytes:8
    | None -> ());
@@ -45,7 +79,7 @@ let raw_read ctx addr =
     end
   | None -> Memory.read_i64 ctx.Machine.mem addr
 
-let raw_write ctx addr v =
+let[@inline never] write_hooked ctx addr v =
   (match ctx.Machine.observe with
    | Some f -> f Machine.Write ~addr ~bytes:8
    | None -> ());
@@ -56,60 +90,127 @@ let raw_write ctx addr v =
     Hashtbl.replace t.Machine.twrites addr v
   | None -> Memory.write_i64 ctx.Machine.mem addr v
 
-let read_f64 ctx addr = Int64.float_of_bits (raw_read ctx addr)
-let write_f64 ctx addr v = raw_write ctx addr (Int64.bits_of_float v)
+(* no transaction, no observer, no cache model: nothing interposes *)
+let[@inline] unhooked ctx =
+  ctx.Machine.txn == None && ctx.Machine.observe == None
+  && not ctx.Machine.model_cache
 
-(* Operand access *)
+(* Memory.read_i64's fast path, inlined: one page-table load, one
+   bounds compare against the region's materialised prefix, then the
+   little-endian access. Anything else goes to Memory, whose slow path
+   materialises or faults exactly as before. *)
+let[@inline] page_region (mem : Memory.t) addr =
+  let p = addr lsr Memory.page_bits in
+  let pages = mem.Memory.pages in
+  if p < Array.length pages then Array.unsafe_get pages p
+  else Memory.no_region
 
-let value ctx = function
-  | Operand.Reg r -> Machine.get ctx r
+let[@inline] read ctx addr =
+  if unhooked ctx then begin
+    let mem = ctx.Machine.mem in
+    let r = page_region mem addr in
+    let off = addr - r.Memory.start in
+    if off >= 0 && off + 8 <= Bytes.length r.Memory.bytes then begin
+      let v = get64 r.Memory.bytes off in
+      if Sys.big_endian then swap64 v else v
+    end
+    else Memory.read_i64 mem addr
+  end
+  else read_hooked ctx addr
+
+let[@inline] write ctx addr (v : int64) =
+  if unhooked ctx then begin
+    let mem = ctx.Machine.mem in
+    let r = page_region mem addr in
+    let off = addr - r.Memory.start in
+    if off >= 0 && off + 8 <= Bytes.length r.Memory.bytes then
+      set64 r.Memory.bytes off (if Sys.big_endian then swap64 v else v)
+    else Memory.write_i64 mem addr v
+  end
+  else write_hooked ctx addr v
+
+let raw_read ctx addr = read ctx addr
+let raw_write ctx addr v = write ctx addr v
+
+let[@inline] read_f64 ctx addr = Int64.float_of_bits (read ctx addr)
+let[@inline] write_f64 ctx addr (v : float) =
+  write ctx addr (Int64.bits_of_float v)
+
+(* Operands *)
+
+let[@inline] value_of ctx (o : Operand.t) =
+  match o with
+  | Operand.Reg r -> reg ctx r
   | Operand.Imm v -> v
-  | Operand.Mem m -> raw_read ctx (addr_of_mem ctx m)
+  | Operand.Mem m -> read ctx (addr_of_mem ctx m)
 
-let store ctx op v =
-  match op with
-  | Operand.Reg r -> Machine.set ctx r v
-  | Operand.Mem m -> raw_write ctx (addr_of_mem ctx m) v
+let[@inline] store_to ctx (o : Operand.t) (v : int64) =
+  match o with
+  | Operand.Reg r -> set_reg ctx r v
+  | Operand.Mem m -> write ctx (addr_of_mem ctx m) v
   | Operand.Imm _ -> invalid_arg "Semantics.store: immediate destination"
 
-let fop_value ctx lane = function
-  | Operand.Freg r -> Machine.getf ctx r lane
+let[@inline] fop_value ctx lane (o : Operand.fop) =
+  match o with
+  | Operand.Freg r -> freg ctx r lane
   | Operand.Fmem m -> read_f64 ctx (addr_of_mem ctx m + (8 * lane))
 
 (* Flags *)
 
-(* Each setter computes the packed word and issues one store. *)
+(* Bit layout of Machine.flags. Each setter computes the packed word
+   and issues one store. *)
+let flag_zf = 1          (* zero: last compare was equal / result zero *)
+let flag_lt = 2          (* signed less-than of the last compare *)
+let flag_ult = 4         (* unsigned less-than *)
+let flag_sf = 8          (* sign of the last result *)
 
-let set_flags_cmp ctx (a : int64) (b : int64) =
-  ctx.Machine.flags <-
-    Machine.pack_flags ~zf:(Int64.equal a b)
-      ~lt:(Int64.compare a b < 0)
-      ~ult:(Int64.unsigned_compare a b < 0)
-      ~sf:(Int64.compare (Int64.sub a b) 0L < 0)
+let[@inline] bit b mask = if b then mask else 0
 
-let set_flags_result ctx (v : int64) =
-  let neg = Int64.compare v 0L < 0 in
-  ctx.Machine.flags <-
-    Machine.pack_flags ~zf:(Int64.equal v 0L) ~lt:neg ~ult:false ~sf:neg
+let[@inline] flags_cmp (a : int64) (b : int64) =
+  bit (a = b) flag_zf
+  lor bit (a < b) flag_lt
+  lor bit (Int64.sub a Int64.min_int < Int64.sub b Int64.min_int) flag_ult
+  lor bit (Int64.sub a b < 0L) flag_sf
 
-let set_flags_fcmp ctx a b =
+let[@inline] flags_result (v : int64) =
+  bit (v = 0L) flag_zf lor bit (v < 0L) (flag_lt lor flag_sf)
+
+let set_flags_cmp ctx a b = ctx.Machine.flags <- flags_cmp a b
+let set_flags_result ctx v = ctx.Machine.flags <- flags_result v
+
+let[@inline] set_flags_fcmp ctx (a : float) (b : float) =
   if Float.is_nan a || Float.is_nan b then ctx.Machine.flags <- 0
   else begin
     let lt = a < b in
     ctx.Machine.flags <-
-      Machine.pack_flags ~zf:(Float.equal a b) ~lt ~ult:lt ~sf:lt
+      bit (Float.equal a b) flag_zf
+      lor bit lt (flag_lt lor flag_ult lor flag_sf)
   end
 
-let eval_cond ctx c =
-  let f = ctx.Machine.flags in
-  Cond.eval
-    ~zf:(f land Machine.flag_zf <> 0)
-    ~lt:(f land Machine.flag_lt <> 0)
-    ~ult:(f land Machine.flag_ult <> 0)
-    ~sf:(f land Machine.flag_sf <> 0)
-    c
+(* Cond.eval over the packed word *)
+let[@inline] cond_holds f (c : Cond.t) =
+  let zf = f land flag_zf <> 0 in
+  let lt = f land flag_lt <> 0 in
+  let ult = f land flag_ult <> 0 in
+  match c with
+  | Cond.Eq -> zf
+  | Cond.Ne -> not zf
+  | Cond.Lt -> lt
+  | Cond.Le -> lt || zf
+  | Cond.Gt -> not (lt || zf)
+  | Cond.Ge -> not lt
+  | Cond.Ult -> ult
+  | Cond.Ule -> ult || zf
+  | Cond.Ugt -> not (ult || zf)
+  | Cond.Uge -> not ult
+  | Cond.S -> f land flag_sf <> 0
+  | Cond.Ns -> f land flag_sf = 0
 
-let alu_op op (a : int64) (b : int64) =
+let eval_cond ctx c = cond_holds ctx.Machine.flags c
+
+(* ALU and FP operations *)
+
+let[@inline] alu op (a : int64) (b : int64) =
   match op with
   | Insn.Add -> Int64.add a b
   | Insn.Sub -> Int64.sub a b
@@ -121,7 +222,9 @@ let alu_op op (a : int64) (b : int64) =
   | Insn.Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
   | Insn.Sar -> Int64.shift_right a (Int64.to_int b land 63)
 
-let fbin_op op a b =
+let[@inline] lanes = function Insn.Scalar -> 1 | Insn.X -> 2 | Insn.Y -> 4
+
+let[@inline] fbin op (a : float) (b : float) =
   match op with
   | Insn.Fadd -> a +. b
   | Insn.Fsub -> a -. b
@@ -130,18 +233,59 @@ let fbin_op op a b =
   | Insn.Fmin -> Float.min a b
   | Insn.Fmax -> Float.max a b
 
-let push ctx v =
-  let sp = Int64.sub (Machine.get ctx Reg.RSP) 8L in
-  Machine.set ctx Reg.RSP sp;
-  raw_write ctx (Int64.to_int sp) v
+(* [dst op= src], flags from the result. Reads [src] before [dst]:
+   an observer and the STM see the order of accesses, so it is fixed. *)
+let[@inline] exec_alu ctx op dst src =
+  let b = value_of ctx src in
+  let a = value_of ctx dst in
+  let v = alu op a b in
+  store_to ctx dst v;
+  ctx.Machine.flags <- flags_result v
 
-let pop ctx =
-  let sp = Machine.get ctx Reg.RSP in
-  let v = raw_read ctx (Int64.to_int sp) in
-  Machine.set ctx Reg.RSP (Int64.add sp 8L);
+let[@inline] exec_cmp ctx x y =
+  let b = value_of ctx y in
+  let a = value_of ctx x in
+  ctx.Machine.flags <- flags_cmp a b
+
+let[@inline] push_value ctx (v : int64) =
+  let sp = Int64.sub (reg ctx Reg.RSP) 8L in
+  set_reg ctx Reg.RSP sp;
+  write ctx (Int64.to_int sp) v
+
+let[@inline] pop_value ctx =
+  let sp = reg ctx Reg.RSP in
+  let v = read ctx (Int64.to_int sp) in
+  set_reg ctx Reg.RSP (Int64.add sp 8L);
   v
 
-(* Syscalls *)
+let push ctx v = push_value ctx v
+let pop ctx = pop_value ctx
+
+(* Fused pairs (the DBM's superinstructions) *)
+
+(* The DBM only fuses register/immediate operands, so these never
+   touch memory; each is one call from the DBM's executor, and no int64
+   crosses into it. *)
+
+let cmp_jcc ctx a b cond =
+  exec_cmp ctx a b;
+  cond_holds ctx.Machine.flags cond
+
+(* the ALU result's flags are dead: the compare rewrites the whole
+   packed word *)
+let alu_cmp ctx op d s a b =
+  let y = value_of ctx s in
+  let x = value_of ctx d in
+  let v = alu op x y in
+  store_to ctx d v;
+  exec_cmp ctx a b
+
+let mov_alu ctx d1 s1 op d2 s2 =
+  let v1 = value_of ctx s1 in
+  store_to ctx d1 v1;
+  exec_alu ctx op d2 s2
+
+(* Syscalls (cold: Machine's accessors are fine here) *)
 
 let syscall ctx n =
   if n = Insn.sys_exit then begin
@@ -187,102 +331,116 @@ let syscall ctx n =
 let exec_costed ctx insn ~len ~cost =
   ctx.Machine.cycles <- ctx.Machine.cycles + cost;
   ctx.Machine.icount <- ctx.Machine.icount + 1;
-  let fallthrough = ctx.Machine.rip + len in
   match insn with
   | Insn.Nop -> Fall
   | Insn.Hlt ->
     ctx.Machine.halted <- true;
     Stop
   | Insn.Mov (dst, src) ->
-    store ctx dst (value ctx src);
+    let v = value_of ctx src in
+    store_to ctx dst v;
     Fall
   | Insn.Lea (r, m) ->
-    Machine.set ctx r (Int64.of_int (addr_of_mem ctx m));
+    set_reg ctx r (Int64.of_int (addr_of_mem ctx m));
     Fall
   | Insn.Alu (op, dst, src) ->
-    let v = alu_op op (value ctx dst) (value ctx src) in
-    store ctx dst v;
-    set_flags_result ctx v;
+    exec_alu ctx op dst src;
     Fall
   | Insn.Neg o ->
-    let v = Int64.neg (value ctx o) in
-    store ctx o v;
-    set_flags_result ctx v;
+    let v = Int64.neg (value_of ctx o) in
+    store_to ctx o v;
+    ctx.Machine.flags <- flags_result v;
     Fall
   | Insn.Not o ->
-    store ctx o (Int64.lognot (value ctx o));
+    let x = value_of ctx o in
+    let v = Int64.lognot x in
+    store_to ctx o v;
     Fall
   | Insn.Idiv o ->
-    let d = value ctx o in
-    if Int64.equal d 0L then raise (Div_by_zero ctx.Machine.rip);
-    let a = Machine.get ctx Reg.RAX in
-    Machine.set ctx Reg.RAX (Int64.div a d);
-    Machine.set ctx Reg.RDX (Int64.rem a d);
+    let d = value_of ctx o in
+    if d = 0L then raise (Div_by_zero ctx.Machine.rip);
+    let a = reg ctx Reg.RAX in
+    set_reg ctx Reg.RAX (Int64.div a d);
+    set_reg ctx Reg.RDX (Int64.rem a d);
     Fall
   | Insn.Cmp (a, b) ->
-    set_flags_cmp ctx (value ctx a) (value ctx b);
+    exec_cmp ctx a b;
     Fall
   | Insn.Test (a, b) ->
-    set_flags_result ctx (Int64.logand (value ctx a) (value ctx b));
+    let y = value_of ctx b in
+    let x = value_of ctx a in
+    ctx.Machine.flags <- flags_result (Int64.logand x y);
     Fall
   | Insn.Jmp (Insn.Direct a) -> Goto a
-  | Insn.Jmp (Insn.Indirect o) -> Goto (Int64.to_int (value ctx o))
-  | Insn.Jcc (c, a) -> if eval_cond ctx c then Goto a else Fall
+  | Insn.Jmp (Insn.Indirect o) -> Goto (Int64.to_int (value_of ctx o))
+  | Insn.Jcc (c, a) -> if cond_holds ctx.Machine.flags c then Goto a else Fall
   | Insn.Call (Insn.Direct a) ->
-    push ctx (Int64.of_int fallthrough);
+    push_value ctx (Int64.of_int (ctx.Machine.rip + len));
     Goto a
   | Insn.Call (Insn.Indirect o) ->
-    let target = Int64.to_int (value ctx o) in
-    push ctx (Int64.of_int fallthrough);
+    let target = Int64.to_int (value_of ctx o) in
+    push_value ctx (Int64.of_int (ctx.Machine.rip + len));
     Goto target
-  | Insn.Ret -> Goto (Int64.to_int (pop ctx))
+  | Insn.Ret -> Goto (Int64.to_int (pop_value ctx))
   | Insn.Push o ->
-    push ctx (value ctx o);
+    let v = value_of ctx o in
+    push_value ctx v;
     Fall
   | Insn.Pop o ->
-    let v = pop ctx in
-    store ctx o v;
+    let v = pop_value ctx in
+    store_to ctx o v;
     Fall
   | Insn.Cmov (c, r, src) ->
-    if eval_cond ctx c then Machine.set ctx r (value ctx src);
+    if cond_holds ctx.Machine.flags c then begin
+      let v = value_of ctx src in
+      set_reg ctx r v
+    end;
     Fall
   | Insn.Fmov (w, dst, src) ->
-    let n = Insn.lanes w in
+    let n = lanes w in
     (match dst with
      | Operand.Freg r ->
        for l = 0 to n - 1 do
-         Machine.setf ctx r l (fop_value ctx l src)
+         let v = fop_value ctx l src in
+         set_freg ctx r l v
        done
      | Operand.Fmem m ->
        let a = addr_of_mem ctx m in
        for l = 0 to n - 1 do
-         write_f64 ctx (a + (8 * l)) (fop_value ctx l src)
+         let v = fop_value ctx l src in
+         write_f64 ctx (a + (8 * l)) v
        done);
     Fall
   | Insn.Fbin (w, op, d, src) ->
-    for l = 0 to Insn.lanes w - 1 do
-      Machine.setf ctx d l (fbin_op op (Machine.getf ctx d l) (fop_value ctx l src))
+    for l = 0 to lanes w - 1 do
+      let b = fop_value ctx l src in
+      let v = fbin op (freg ctx d l) b in
+      set_freg ctx d l v
     done;
     Fall
   | Insn.Fsqrt (w, d, src) ->
-    for l = 0 to Insn.lanes w - 1 do
-      Machine.setf ctx d l (Float.sqrt (fop_value ctx l src))
+    for l = 0 to lanes w - 1 do
+      let v = Float.sqrt (fop_value ctx l src) in
+      set_freg ctx d l v
     done;
     Fall
   | Insn.Fbcast (w, d, src) ->
     let v = fop_value ctx 0 src in
-    for l = 0 to Insn.lanes w - 1 do
-      Machine.setf ctx d l v
+    for l = 0 to lanes w - 1 do
+      set_freg ctx d l v
     done;
     Fall
   | Insn.Fcmp (a, b) ->
-    set_flags_fcmp ctx (Machine.getf ctx a 0) (fop_value ctx 0 b);
+    let y = fop_value ctx 0 b in
+    set_flags_fcmp ctx (freg ctx a 0) y;
     Fall
   | Insn.Cvtsi2sd (d, src) ->
-    Machine.setf ctx d 0 (Int64.to_float (value ctx src));
+    let v = Int64.to_float (value_of ctx src) in
+    set_freg ctx d 0 v;
     Fall
   | Insn.Cvtsd2si (d, src) ->
-    Machine.set ctx d (Int64.of_float (fop_value ctx 0 src));
+    let v = Int64.of_float (fop_value ctx 0 src) in
+    set_reg ctx d v;
     Fall
   | Insn.Syscall n -> syscall ctx n
   | Insn.Prefetch m ->

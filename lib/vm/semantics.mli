@@ -19,25 +19,41 @@ exception Div_by_zero of int  (** rip of the faulting division *)
 val addr_of_mem : Machine.t -> Operand.mem -> int
 
 (** 64-bit load/store honouring the installed transaction (buffered)
-    and observer (recorded); exposed for the runtime and tests. *)
+    and observer (recorded); exposed for the runtime and tests. With no
+    transaction, observer or cache model installed they take an inlined
+    fast path with the same results and {!Memory.Fault} addresses. *)
 val raw_read : Machine.t -> int -> int64
 val raw_write : Machine.t -> int -> int64 -> unit
 
-val value : Machine.t -> Operand.t -> int64
-
-(** Store to a register or memory destination (immediates are
-    invalid); exposed for the DBM's fused-pair executors. *)
-val store : Machine.t -> Operand.t -> int64 -> unit
-
 val eval_cond : Machine.t -> Cond.t -> bool
 
-(** The ALU operation itself, and the flag effects of a compare /
-    flag-setting result; exposed for the DBM's fused-pair executors,
-    which must produce bit-identical flag words. *)
-val alu_op : Insn.alu -> int64 -> int64 -> int64
-
+(** Set the packed flag word as a compare of the two values / as a
+    flag-setting result would. *)
 val set_flags_cmp : Machine.t -> int64 -> int64 -> unit
 val set_flags_result : Machine.t -> int64 -> unit
+
+(** {2 Fused pairs}
+
+    The DBM's superinstructions, one call each. Operands must be
+    registers or immediates (destinations registers), which is what
+    the DBM fuses; flags and registers end bit-identical to executing
+    the two instructions in turn. Cycle, icount and rip bookkeeping is
+    the caller's. *)
+
+(** [cmp a, b] then [jcc cond]: sets the flags, returns whether the
+    branch is taken. *)
+val cmp_jcc : Machine.t -> Operand.t -> Operand.t -> Cond.t -> bool
+
+(** [d op= s] then [cmp a, b]. *)
+val alu_cmp :
+  Machine.t -> Insn.alu -> Operand.t -> Operand.t -> Operand.t -> Operand.t ->
+  unit
+
+(** [mov d1, s1] then [d2 op= s2]. *)
+val mov_alu :
+  Machine.t -> Operand.t -> Operand.t -> Insn.alu -> Operand.t -> Operand.t ->
+  unit
+
 val push : Machine.t -> int64 -> unit
 val pop : Machine.t -> int64
 

@@ -22,12 +22,10 @@ type fp = XMM of int  (* 0..15 *)
 let gp_count = 18
 let fp_count = 16
 
-let gp_index = function
-  | RAX -> 0 | RBX -> 1 | RCX -> 2 | RDX -> 3
-  | RSI -> 4 | RDI -> 5 | RBP -> 6 | RSP -> 7
-  | R8 -> 8 | R9 -> 9 | R10 -> 10 | R11 -> 11
-  | R12 -> 12 | R13 -> 13 | R14 -> 14 | R15 -> 15
-  | TLS -> 16 | SHARED -> 17
+(* A constant constructor is represented by its declaration index, so
+   the index is the register's own representation: no call, no match,
+   even across module boundaries. *)
+external gp_index : gp -> int = "%identity"
 
 let gp_of_index = function
   | 0 -> RAX | 1 -> RBX | 2 -> RCX | 3 -> RDX

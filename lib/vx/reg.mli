@@ -21,7 +21,11 @@ type fp = XMM of int  (** 0..15 *)
 val gp_count : int
 val fp_count : int
 
-val gp_index : gp -> int
+(** The register's index, [0] ([RAX]) to [gp_count - 1] ([SHARED]) in
+    declaration order: a constant constructor's representation, so the
+    interpreter computes it without a call. *)
+external gp_index : gp -> int = "%identity"
+
 val gp_of_index : int -> gp
 val fp_index : fp -> int
 val fp_of_index : int -> fp

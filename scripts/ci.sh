@@ -64,12 +64,6 @@ grep -E '^(pipeline\.cache|pool)\.' "$work/eval_j1_cold.metrics"
 echo "-- pipeline cache counters (--jobs 4, warm store) --"
 grep -E '^(pipeline\.cache|pool)\.' "$work/eval_j4_warm.metrics"
 
-echo "== superinstruction fusion is inert at schedule level =="
-# fragments fuse hot instruction pairs by default; the whole evaluation
-# must not be able to tell (outputs, cycles, digests byte-identical)
-dune exec bin/janus_eval.exe -- all --no-fuse > "$work/eval_nofuse.txt"
-cmp "$work/eval_j1_cold.txt" "$work/eval_nofuse.txt"
-
 echo "== experiment registry =="
 dune exec bin/janus_eval.exe -- --list
 

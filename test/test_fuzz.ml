@@ -1,6 +1,6 @@
 (* Tests for the differential fuzzing harness: oracle self-test,
-   shrinking bounds, kernel codec round-trips, the trace-promotion
-   equivalence property, and replay of every shrunk reproducer under
+   shrinking bounds, kernel codec round-trips, the trace-promotion and
+   fusion equivalence properties, and replay of every shrunk reproducer under
    test/corpus/ as a permanent regression case. *)
 
 open Janus_vm
@@ -120,39 +120,76 @@ let prop_codec_roundtrip =
       QCheck2.assume (Kernel.valid k);
       Kernel.of_string (Kernel.to_string k) = k)
 
-(* trace promotion must be invisible to architectural state: forcing
-   promotion on every fragment (threshold 1) and disabling it entirely
-   must print the same bytes and leave the same memory image *)
-let run_dbm_with ~promote_threshold img =
+(* One DBM-only run of [img]: what a guest can observe (output, final
+   memory, cycles, retired instructions), the DBM's counters, and how
+   many fused superinstructions the final code cache holds. *)
+type dbm_run = {
+  out : string;
+  mem : string;
+  cycles : int;
+  icount : int;
+  stats : Dbm.stats;
+  fused : int;
+}
+
+let run_dbm ?promote_threshold ?fuse img =
   let prog = Program.load img in
-  let dbm = Dbm.create ~promote_threshold prog in
+  let dbm = Dbm.create ?promote_threshold ?fuse prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
   (match Dbm.run dbm cache ctx with
   | `Halted -> ()
   | `Yielded -> Alcotest.fail "DBM yielded outside a parallel region"
   | `Out_of_fuel _ -> Alcotest.fail "DBM ran out of fuel");
-  (Buffer.contents ctx.Machine.out, Run.mem_digest ctx, dbm.Dbm.stats)
+  let fused =
+    Hashtbl.fold
+      (fun _ f n ->
+        Array.fold_left
+          (fun n st -> match st with Dbm.Step _ -> n | _ -> n + 1)
+          n f.Dbm.f_steps)
+      cache.Dbm.frags 0
+  in
+  { out = Buffer.contents ctx.Machine.out; mem = Run.mem_digest ctx;
+    cycles = ctx.Machine.cycles; icount = ctx.Machine.icount;
+    stats = dbm.Dbm.stats; fused }
 
+let kernel_image k =
+  QCheck2.assume (Kernel.valid k);
+  try Emit.image k with Failure _ -> QCheck2.assume_fail ()
+
+(* trace promotion must be invisible to architectural state: forcing
+   promotion on every fragment (threshold 1) and disabling it entirely
+   must print the same bytes and leave the same memory image *)
 let prop_promotion_equivalence =
   QCheck2.Test.make ~count:30 ~name:"trace promotion preserves state"
     ~print:Kernel.to_string Gen.kernel (fun k ->
-      QCheck2.assume (Kernel.valid k);
-      let img =
-        try Emit.image k with Failure _ -> QCheck2.assume_fail ()
-      in
-      let out_forced, mem_forced, stats_forced =
-        run_dbm_with ~promote_threshold:1 img
-      in
-      let out_off, mem_off, stats_off =
-        run_dbm_with ~promote_threshold:max_int img
-      in
-      if stats_forced.Dbm.traces_built = 0 then
+      let img = kernel_image k in
+      let forced = run_dbm ~promote_threshold:1 img in
+      let off = run_dbm ~promote_threshold:max_int img in
+      if forced.stats.Dbm.traces_built = 0 then
         QCheck2.Test.fail_report
           "threshold 1 promoted no traces (property is vacuous)";
-      if stats_off.Dbm.traces_built > 0 then
+      if off.stats.Dbm.traces_built > 0 then
         QCheck2.Test.fail_report "disabled promotion still built traces";
-      String.equal out_forced out_off && String.equal mem_forced mem_off)
+      String.equal forced.out off.out && String.equal forced.mem off.mem)
+
+(* superinstruction fusion must be invisible too, and exact in the
+   cycle model: fused and unfused runs print the same bytes, leave the
+   same memory, and charge the same cycles and retired instructions *)
+let prop_fusion_inert =
+  QCheck2.Test.make ~count:30 ~name:"superinstruction fusion is inert"
+    ~print:Kernel.to_string Gen.kernel (fun k ->
+      let img = kernel_image k in
+      let fused = run_dbm ~fuse:true img in
+      let plain = run_dbm ~fuse:false img in
+      if fused.fused = 0 then
+        QCheck2.Test.fail_report "nothing was fused (property is vacuous)";
+      if plain.fused > 0 then
+        QCheck2.Test.fail_report "fusion off still fused";
+      String.equal fused.out plain.out
+      && String.equal fused.mem plain.mem
+      && fused.cycles = plain.cycles
+      && fused.icount = plain.icount)
 
 let tests =
   [
@@ -163,5 +200,6 @@ let tests =
       test_corpus_fingerprints;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_promotion_equivalence;
+    QCheck_alcotest.to_alcotest prop_fusion_inert;
   ]
   @ corpus_cases

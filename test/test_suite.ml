@@ -172,11 +172,42 @@ let test_sphinx3_doacross_matches_native () =
        Alcotest.(check int) (name "cycles") cycles r.Janus.cycles)
     [ (2, 50_502_412); (4, 43_187_310); (8, 41_607_669) ]
 
+(* The interpreter's hot path allocates (almost) nothing per guest
+   instruction: native and DBM-only runs of the host benchmark's twelve
+   programs at training scale stay within 2 and 3 minor words per
+   retired instruction. The count covers the whole run (image load and
+   final memory digest included) and is deterministic for a given build;
+   boxing an int64 per register write or memory word costs more than
+   the budget on its own. *)
+let test_allocation_budget () =
+  let programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ] in
+  let words_per_insn run =
+    let words = ref 0.0 and insns = ref 0 in
+    List.iter
+      (fun (b : Suite.benchmark) ->
+         let img = Suite.compile b in
+         let w0 = Gc.minor_words () in
+         let r = run ~input:(Suite.train_input b) img in
+         words := !words +. (Gc.minor_words () -. w0);
+         insns := !insns + r.Janus.icount)
+      programs;
+    !words /. float_of_int !insns
+  in
+  let native = words_per_insn (fun ~input img -> Janus.run_native ~input img) in
+  let dbm = words_per_insn (fun ~input img -> Janus.run_dbm_only ~input img) in
+  if native > 2.0 || dbm > 3.0 then
+    Alcotest.failf
+      "minor words per instruction: native %.2f (budget 2), DBM-only %.2f \
+       (budget 3)"
+      native dbm
+
 let tests =
   [
     Alcotest.test_case "all compile and run" `Quick test_all_compile_and_run;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "all analysable" `Quick test_all_analysable;
+    Alcotest.test_case "allocation budget per instruction" `Quick
+      test_allocation_budget;
     Alcotest.test_case "nine correct under full janus" `Quick
       test_nine_correct_full_janus;
     Alcotest.test_case "nine correct all configs" `Slow

@@ -353,11 +353,15 @@ let test_txn_rollback_flags_brk () =
   Alcotest.(check bool) "lt holds" true (Semantics.eval_cond ctx Cond.Lt);
   Alcotest.(check bool) "gt does not" false (Semantics.eval_cond ctx Cond.Gt)
 
-(* The packed flags word and the flat fregs array must be
-   observationally indistinguishable from the naive representation they
-   replaced (four separate bools; per-register lane arrays): random
-   operation sequences applied to both, then every condition code and
-   every FP lane compared. *)
+(* The packed flags word, the flat fregs array and the byte-packed GP
+   register file must be observationally indistinguishable from the
+   naive representation they replaced (four separate bools, per-register
+   lane arrays, an int64 array): random operation sequences, including
+   forks, transactions and rollbacks, are applied to both, then every
+   condition code, FP lane and GP register is compared. Register writes
+   go through both Machine.set and the interpreter's own path
+   (Semantics.exec), and reads through both, so the two accessors are
+   checked against each other as well as against the reference. *)
 
 type ref_state = {
   mutable r_zf : bool;
@@ -365,17 +369,54 @@ type ref_state = {
   mutable r_ult : bool;
   mutable r_sf : bool;
   r_fregs : float array array; (* [register].(lane) *)
+  r_regs : int64 array;        (* [Reg.gp_index] *)
 }
+
+let copy_ref s =
+  { s with r_fregs = Array.map Array.copy s.r_fregs;
+           r_regs = Array.copy s.r_regs }
+
+let restore_ref s ~from =
+  s.r_zf <- from.r_zf;
+  s.r_lt <- from.r_lt;
+  s.r_ult <- from.r_ult;
+  s.r_sf <- from.r_sf;
+  Array.iteri (fun r lanes -> Array.blit lanes 0 s.r_fregs.(r) 0 4) from.r_fregs;
+  Array.blit from.r_regs 0 s.r_regs 0 (Array.length s.r_regs)
 
 type state_op =
   | Op_cmp of int64 * int64
   | Op_result of int64
   | Op_setf of int * int * float
+  | Op_set of int * int64          (* Machine.set *)
+  | Op_mov_imm of int * int64      (* Semantics: mov r, imm *)
+  | Op_mov of int * int            (* Semantics: mov d, s *)
+  | Op_add of int * int            (* Semantics: add d, s (sets flags) *)
+  | Op_fork                        (* continue in a forked context *)
+  | Op_start_txn
+  | Op_rollback
+  | Op_end_txn
+
+let gp = Reg.gp_of_index
+
+let exec ctx insn = ignore (Semantics.exec ctx insn ~len:0)
 
 let apply_machine ctx = function
   | Op_cmp (a, b) -> Semantics.set_flags_cmp ctx a b
   | Op_result v -> Semantics.set_flags_result ctx v
   | Op_setf (r, lane, v) -> Machine.setf ctx (Reg.fp_of_index r) lane v
+  | Op_set (r, v) -> Machine.set ctx (gp r) v
+  | Op_mov_imm (r, v) -> exec ctx (Insn.Mov (reg (gp r), Operand.Imm v))
+  | Op_mov (d, s) -> exec ctx (Insn.Mov (reg (gp d), reg (gp s)))
+  | Op_add (d, s) -> exec ctx (Insn.Alu (Insn.Add, reg (gp d), reg (gp s)))
+  | Op_fork | Op_start_txn | Op_rollback | Op_end_txn -> ()
+
+let set_ref_result s v =
+  let neg = Int64.compare v 0L < 0 in
+  s.r_zf <- Int64.equal v 0L;
+  s.r_lt <- neg;
+  s.r_ult <- false;
+  s.r_sf <- neg
 
 let apply_ref s = function
   | Op_cmp (a, b) ->
@@ -383,18 +424,27 @@ let apply_ref s = function
     s.r_lt <- Int64.compare a b < 0;
     s.r_ult <- Int64.unsigned_compare a b < 0;
     s.r_sf <- Int64.compare (Int64.sub a b) 0L < 0
-  | Op_result v ->
-    let neg = Int64.compare v 0L < 0 in
-    s.r_zf <- Int64.equal v 0L;
-    s.r_lt <- neg;
-    s.r_ult <- false;
-    s.r_sf <- neg
+  | Op_result v -> set_ref_result s v
   | Op_setf (r, lane, v) -> s.r_fregs.(r).(lane) <- v
+  | Op_set (r, v) | Op_mov_imm (r, v) -> s.r_regs.(r) <- v
+  | Op_mov (d, src) -> s.r_regs.(d) <- s.r_regs.(src)
+  | Op_add (d, src) ->
+    let v = Int64.add s.r_regs.(d) s.r_regs.(src) in
+    s.r_regs.(d) <- v;
+    set_ref_result s v
+  | Op_fork | Op_start_txn | Op_rollback | Op_end_txn -> ()
 
 let gen_state_op =
   let open QCheck2.Gen in
-  (* mix full-range and tiny operands so equality/zero cases occur *)
-  let i64 = oneof [ int64; map Int64.of_int (int_range (-4) 4) ] in
+  (* mix full-range, extreme and tiny operands so equality, zero, sign
+     and unsigned-wrap cases occur *)
+  let i64 =
+    oneof
+      [ int64;
+        oneofl [ Int64.min_int; Int64.max_int; -1L; 0L; 1L ];
+        map Int64.of_int (int_range (-4) 4) ]
+  in
+  let r = int_range 0 (Reg.gp_count - 1) in
   frequency
     [
       (3, map2 (fun a b -> Op_cmp (a, b)) i64 i64);
@@ -405,14 +455,22 @@ let gen_state_op =
           (int_range 0 (Reg.fp_count - 1))
           (int_range 0 3)
           (map Int64.float_of_bits int64) );
+      (3, map2 (fun r v -> Op_set (r, v)) r i64);
+      (3, map2 (fun r v -> Op_mov_imm (r, v)) r i64);
+      (2, map2 (fun d s -> Op_mov (d, s)) r r);
+      (2, map2 (fun d s -> Op_add (d, s)) r r);
+      (1, pure Op_fork);
+      (1, pure Op_start_txn);
+      (1, pure Op_rollback);
+      (1, pure Op_end_txn);
     ]
 
 let prop_flat_state_equiv =
-  QCheck2.Test.make ~count:200
+  QCheck2.Test.make ~count:300
     ~name:"flat machine state matches the reference representation"
-    QCheck2.Gen.(list_size (int_range 0 40) gen_state_op)
+    QCheck2.Gen.(list_size (int_range 0 60) gen_state_op)
     (fun ops ->
-      let ctx = Machine.create (Memory.create ()) in
+      let ctx = ref (Machine.create (Memory.create ())) in
       let s =
         {
           r_zf = false;
@@ -420,13 +478,32 @@ let prop_flat_state_equiv =
           r_ult = false;
           r_sf = false;
           r_fregs = Array.init Reg.fp_count (fun _ -> Array.make 4 0.0);
+          r_regs = Array.make Reg.gp_count 0L;
         }
       in
+      (* the open transaction and the reference state it checkpointed *)
+      let txn = ref None in
       List.iter
         (fun op ->
-          apply_machine ctx op;
+          (match op, !txn with
+           | Op_fork, _ ->
+             (* a fork starts outside any transaction *)
+             ctx := Machine.fork !ctx;
+             txn := None
+           | Op_start_txn, None ->
+             txn := Some (Machine.start_txn !ctx, copy_ref s)
+           | Op_rollback, Some (t, saved) ->
+             Machine.rollback !ctx t;
+             restore_ref s ~from:saved;
+             txn := None
+           | Op_end_txn, Some _ ->
+             Machine.end_txn !ctx;
+             txn := None
+           | _ -> ());
+          apply_machine !ctx op;
           apply_ref s op)
         ops;
+      let ctx = !ctx in
       let conds_agree =
         List.for_all
           (fun c ->
@@ -448,7 +525,86 @@ let prop_flat_state_equiv =
           then lanes_agree := false
         done
       done;
-      conds_agree && !lanes_agree)
+      let regs_agree = ref true in
+      for r = 0 to Reg.gp_count - 1 do
+        if not (Int64.equal (Machine.get ctx (gp r)) s.r_regs.(r)) then
+          regs_agree := false
+      done;
+      conds_agree && !lanes_agree && !regs_agree)
+
+(* Semantics' inlined memory fast path must be indistinguishable from
+   the hooked path it bypasses: random 64-bit loads and stores at
+   region edges, on pages not yet materialised, on a page two regions
+   share and at unmapped addresses return the same values, raise the
+   same Fault addresses and leave the same memory, whether or not an
+   observer or the cache model is installed. *)
+
+type mem_op = Load of int | Store of int * int64
+
+let mem_layout () =
+  let m = Memory.create () in
+  let add name start size = ignore (Memory.add_region m ~name ~start ~size) in
+  add "tail" 0x10000 100;          (* size not a multiple of 8 *)
+  add "big" 0x40000 0x30000;       (* three pages, materialised lazily *)
+  add "lo" 0x80000 0x100;          (* "lo" and "hi" share one page *)
+  add "hi" 0x80100 0x100;
+  m
+
+let mem_regions = [ ("tail", 100); ("big", 0x30000); ("lo", 0x100); ("hi", 0x100) ]
+
+let gen_mem_op =
+  let open QCheck2.Gen in
+  let edges =
+    [ 0x10000; 0x10000 + 100; 0x40000; 0x50000; 0x60000; 0x70000; 0x80000;
+      0x80100; 0x80200; 0x20000; 0; -8; 1 lsl 40 ]
+  in
+  let addr =
+    oneof
+      [ map2 ( + ) (oneofl edges) (int_range (-16) 16);
+        int_range 0x40000 0x70000 ]
+  in
+  let v = oneof [ int64; oneofl [ Int64.min_int; -1L; 0L ] ] in
+  frequency
+    [ (1, map (fun a -> Load a) addr); (1, map2 (fun a v -> Store (a, v)) addr v) ]
+
+let prop_memory_fast_path =
+  QCheck2.Test.make ~count:300
+    ~name:"memory fast path matches the hooked path"
+    QCheck2.Gen.(list_size (int_range 1 40) gen_mem_op)
+    (fun ops ->
+      let fast = Machine.create (mem_layout ()) in
+      let observed = Machine.create (mem_layout ()) in
+      observed.Machine.observe <- Some (fun _ ~addr:_ ~bytes:_ -> ());
+      let cached = Machine.create (mem_layout ()) in
+      cached.Machine.model_cache <- true;
+      let run ctx op =
+        match op with
+        | Load a -> (
+          match Semantics.raw_read ctx a with
+          | v -> Ok (Some v)
+          | exception Memory.Fault f -> Error f)
+        | Store (a, v) -> (
+          match Semantics.raw_write ctx a v with
+          | () -> Ok None
+          | exception Memory.Fault f -> Error f)
+      in
+      let same_results =
+        List.for_all
+          (fun op ->
+            let r = run fast op in
+            r = run observed op && r = run cached op)
+          ops
+      in
+      let contents ctx =
+        List.map
+          (fun (name, size) ->
+            let r = Option.get (Memory.region_by_name ctx.Machine.mem name) in
+            Memory.snapshot ctx.Machine.mem r.Memory.start size)
+          mem_regions
+      in
+      same_results
+      && contents fast = contents observed
+      && contents fast = contents cached)
 
 let test_out_of_fuel () =
   let b = Builder.create () in
@@ -473,6 +629,7 @@ let tests =
     Alcotest.test_case "txn rollback restores flags and brk" `Quick
       test_txn_rollback_flags_brk;
     QCheck_alcotest.to_alcotest prop_flat_state_equiv;
+    QCheck_alcotest.to_alcotest prop_memory_fast_path;
     Alcotest.test_case "observe hook" `Quick test_observe_hook;
     Alcotest.test_case "cache model misses" `Quick test_cache_model_misses;
     Alcotest.test_case "cache model off by default" `Quick

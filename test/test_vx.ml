@@ -119,6 +119,9 @@ let gen_insn =
 (* Unit tests                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* gp_of_index is an explicit table and gp_index is %identity (the
+   constructor's representation), so this also pins the declaration
+   order the register file's byte offsets rely on *)
 let test_reg_roundtrip () =
   for i = 0 to Reg.gp_count - 1 do
     Alcotest.(check int) "gp index" i (Reg.gp_index (Reg.gp_of_index i))
