@@ -255,11 +255,14 @@ let gate ~cfg ?store ?pool image schedule =
     | Some store -> Pipeline.verify ~store ?pool image schedule
     | None -> Verify.check_and_demote ?pool image schedule
 
-(** Stage 3: run the program under the DBM with the parallelisation
-    schedule (the "Parallelisation Stage"). *)
-let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
-  let schedule, demoted, _ = gate ~cfg ?store ?pool p.p_image p.p_schedule in
-  let prog = Program.load p.p_image in
+(* The execute step both entry points share once their gate has run:
+   run [input] under the DBM with [schedule] and the parallel runtime
+   attached, and report the run. [register] enrols the deployed loops
+   with the governor when [cfg.adapt] makes one; [schedule_size] is the
+   size reported, [selected] and [checks] the loops reported. *)
+let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
+    ~register image =
+  let prog = Program.load image in
   let obs = Obs.create ~enabled:cfg.trace () in
   let dbm = Dbm.create ~schedule ~obs prog in
   let rt_config =
@@ -270,32 +273,7 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
   let governor =
     if cfg.adapt then Some (Adapt.create ~obs ()) else None
   in
-  (match governor with
-   | Some g ->
-     (* A loop counts as profiled when its selection rests on evidence:
-        static-class loops always, dynamic (checked) loops only when
-        dependence profiling actually ran. Unprofiled dynamic loops
-        start in the governor's training-free sampling state. A loop
-        whose aggregated fleet history is suspect (demotions, failed
-        checks in earlier runs) warm-starts in probation instead of
-        re-earning its first demotion from scratch. *)
-     let suspect =
-       match p.p_evidence with
-       | Some e -> e.Pipeline.ev_suspect
-       | None -> []
-     in
-     List.iter
-       (fun ((r : Loopanal.report), _) ->
-          let lid = r.Loopanal.loop.Janus_analysis.Looptree.lid in
-          if not (List.mem lid demoted) then
-            if List.mem lid suspect then Adapt.register_suspect g lid
-            else
-              let profiled =
-                r.Loopanal.check_ranges = [] || p.p_deps <> None
-              in
-              Adapt.register g lid ~profiled)
-       p.p_selection.chosen
-   | None -> ());
+  Option.iter register governor;
   let rt = Runtime.create ~config:rt_config ?adapt:governor dbm in
   Runtime.install rt;
   let ctx = Run.fresh_context prog in
@@ -315,42 +293,49 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
       Some (Out_of_fuel { addr; loop = Some rt.Runtime.current_loop })
   in
   Runtime.publish_metrics rt obs;
-  (* fission census: how many Static-Dependence loops were examined,
-     how many the schedule split, and how the verifier judged those *)
-  if cfg.fission then begin
-    let considered =
-      List.length
-        (List.filter
-           (fun (r : Loopanal.report) ->
-              match r.Loopanal.cls with
-              | Loopanal.Static_dep _ -> true
-              | _ -> false)
-           p.p_analysis.Analysis.reports)
+  result_of_dbm_run image ~schedule_size ~selected ~demoted ~checks ?aborted
+    ?governor ~obs dbm ctx
+
+(** Stage 3: run the program under the DBM with the parallelisation
+    schedule (the "Parallelisation Stage"). *)
+let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
+  let schedule, demoted, _ = gate ~cfg ?store ?pool p.p_image p.p_schedule in
+  let lid (r : Loopanal.report) = r.Loopanal.loop.Janus_analysis.Looptree.lid in
+  let chosen = List.map fst p.p_selection.chosen in
+  (* A loop counts as profiled when its selection rests on evidence:
+     static-class loops always, dynamic (checked) loops only when
+     dependence profiling actually ran. Unprofiled dynamic loops start
+     in the governor's training-free sampling state. A loop whose
+     aggregated fleet history is suspect (demotions, failed checks in
+     earlier runs) warm-starts in probation instead of re-earning its
+     first demotion from scratch. *)
+  let register g =
+    let suspect =
+      match p.p_evidence with
+      | Some e -> e.Pipeline.ev_suspect
+      | None -> []
     in
-    let split = rule_loops p.p_schedule Janus_schedule.Rule.LOOP_FISSION in
-    let split_demoted = List.filter (fun l -> List.mem l demoted) split in
-    Obs.set obs "fission.considered" considered;
-    Obs.set obs "fission.split" (List.length split);
-    Obs.set obs "fission.demoted" (List.length split_demoted);
-    Obs.set obs "fission.verified"
-      (List.length split - List.length split_demoted)
-  end;
+    List.iter
+      (fun r ->
+         let l = lid r in
+         if not (List.mem l demoted) then
+           if List.mem l suspect then Adapt.register_suspect g l
+           else
+             Adapt.register g l
+               ~profiled:(r.Loopanal.check_ranges = [] || p.p_deps <> None))
+      chosen
+  in
   let selected =
-    List.filter
-      (fun lid -> not (List.mem lid demoted))
-      (List.map
-         (fun ((r : Loopanal.report), _) ->
-            r.Loopanal.loop.Janus_analysis.Looptree.lid)
-         p.p_selection.chosen)
+    List.filter (fun l -> not (List.mem l demoted)) (List.map lid chosen)
   in
   let checks =
     List.filter_map
-      (fun ((r : Loopanal.report), _) ->
+      (fun (r : Loopanal.report) ->
          if r.Loopanal.check_ranges = [] then None
          else
            let cd =
              {
-               Desc.check_loop_id = r.Loopanal.loop.Janus_analysis.Looptree.lid;
+               Desc.check_loop_id = lid r;
                ranges =
                  List.map
                    (fun (c : Loopanal.check_range) ->
@@ -361,13 +346,30 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
                    r.Loopanal.check_ranges;
              }
            in
-           Some
-             (r.Loopanal.loop.Janus_analysis.Looptree.lid, Desc.check_pairs cd))
-      p.p_selection.chosen
+           Some (lid r, Desc.check_pairs cd))
+      chosen
   in
-  result_of_dbm_run p.p_image
-    ~schedule_size:(Schedule.size p.p_schedule)
-    ~selected ~demoted ~checks ?aborted ?governor ~obs dbm ctx
+  let res =
+    execute ~cfg ~input ~schedule ~schedule_size:(Schedule.size p.p_schedule)
+      ~selected ~demoted ~checks ~register p.p_image
+  in
+  (* fission census: how many Static-Dependence loops were examined,
+     how many the schedule split, and how the verifier judged those *)
+  (match res.obs with
+   | Some obs when cfg.fission ->
+     let is_static_dep (r : Loopanal.report) =
+       match r.Loopanal.cls with Loopanal.Static_dep _ -> true | _ -> false
+     in
+     let split = rule_loops p.p_schedule Janus_schedule.Rule.LOOP_FISSION in
+     let split_demoted = List.filter (fun l -> List.mem l demoted) split in
+     Obs.set obs "fission.considered"
+       (List.length (List.filter is_static_dep p.p_analysis.Analysis.reports));
+     Obs.set obs "fission.split" (List.length split);
+     Obs.set obs "fission.demoted" (List.length split_demoted);
+     Obs.set obs "fission.verified"
+       (List.length split - List.length split_demoted)
+   | _ -> ());
+  res
 
 (** Run under the DBM with a pre-generated rewrite schedule — the
     paper's deployment model: the schedule is produced offline by the
@@ -376,14 +378,6 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
 let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
   let shipped_size = Schedule.size schedule in
   let schedule, demoted, _ = gate ~cfg ?pool image schedule in
-  let prog = Program.load image in
-  let obs = Obs.create ~enabled:cfg.trace () in
-  let dbm = Dbm.create ~schedule ~obs prog in
-  let rt_config =
-    { Runtime.threads = cfg.threads; force_policy = cfg.force_policy;
-      stm_access_limit = 4096; stm_everywhere = cfg.stm_everywhere;
-      fuel = cfg.fuel }
-  in
   (* the deployed loop set is whatever the shipped schedule initialises
      — by LOOP_INIT or by LOOP_FISSION *)
   let rule_loops id = rule_loops schedule id in
@@ -392,41 +386,18 @@ let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
       (rule_loops Janus_schedule.Rule.LOOP_INIT
        @ rule_loops Janus_schedule.Rule.LOOP_FISSION)
   in
-  let governor =
-    if cfg.adapt then Some (Adapt.create ~obs ()) else None
+  (* Deployment model: the schedule ships alone, with no [.jpf] beside
+     it — so a checked (Dynamic-class) loop carries no dependence
+     evidence and starts in the governor's training-free sampling
+     state; unchecked loops were proven statically. *)
+  let register g =
+    let checked = rule_loops Janus_schedule.Rule.MEM_BOUNDS_CHECK in
+    List.iter
+      (fun l -> Adapt.register g l ~profiled:(not (List.mem l checked)))
+      selected
   in
-  (match governor with
-   | Some g ->
-     (* Deployment model: the schedule ships alone, with no [.jpf]
-        beside it — so a checked (Dynamic-class) loop carries no
-        dependence evidence and starts in the governor's training-free
-        sampling state; unchecked loops were proven statically. *)
-     let checked = rule_loops Janus_schedule.Rule.MEM_BOUNDS_CHECK in
-     List.iter
-       (fun lid -> Adapt.register g lid ~profiled:(not (List.mem lid checked)))
-       selected
-   | None -> ());
-  let rt = Runtime.create ~config:rt_config ?adapt:governor dbm in
-  Runtime.install rt;
-  let ctx = Run.fresh_context prog in
-  ctx.Machine.model_cache <- cfg.model_cache;
-  List.iter (fun v -> Queue.push v ctx.Machine.input) input;
-  let aborted =
-    try
-      match Dbm.run ~fuel:cfg.fuel dbm rt.Runtime.main_cache ctx with
-      | `Out_of_fuel addr ->
-        let loop =
-          if rt.Runtime.current_loop >= 0 then Some rt.Runtime.current_loop
-          else None
-        in
-        Some (Out_of_fuel { addr; loop })
-      | `Halted | `Yielded -> None
-    with Runtime.Worker_out_of_fuel (_w, addr) ->
-      Some (Out_of_fuel { addr; loop = Some rt.Runtime.current_loop })
-  in
-  Runtime.publish_metrics rt obs;
-  result_of_dbm_run image ~schedule_size:shipped_size ~selected ~demoted
-    ~checks:[] ?aborted ?governor ~obs dbm ctx
+  execute ~cfg ~input ~schedule ~schedule_size:shipped_size ~selected
+    ~demoted ~checks:[] ~register image
 
 (** The whole pipeline: analyse, profile on the training input, select,
     parallelise, run on the reference input. *)

@@ -90,12 +90,7 @@ let marshal_codec () =
 type store = {
   enabled : bool;
   dir : string option;  (* persistent layer root, when present *)
-  prune_age : int option;    (* prune entries older than this (seconds) *)
-  prune_bytes : int option;  (* prune oldest entries beyond this budget *)
   mu : Mutex.t;
-  written : (string, unit) Hashtbl.t;
-      (* entry paths this process published: pruning never deletes
-         them, so a live run cannot evict its own warm artifacts *)
   images : Image.t table;
   analyses : Analysis.t table;
   coverages : Profiler.coverage table;
@@ -104,69 +99,9 @@ type store = {
   verifieds : (Schedule.t * int list * Verify.finding list) table;
 }
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Sys.mkdir d 0o755
-    with Sys_error _ when Sys.is_directory d -> ()  (* lost a race: fine *)
-  end
-
-(* Oldest-mtime-first pruning shared by the .jart artifact layer and
-   the .jprof profile store. Two passes: everything beyond [max_age],
-   then the oldest survivors until the directory fits [max_bytes].
-   Protected paths (the live process's own writes) are never deleted
-   and still count towards the byte budget — over-retention is safe,
-   deleting a just-published artifact is not. *)
-let prune_dir ?max_age ?max_bytes ?(protect = fun _ -> false) ~exts dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then 0
-  else begin
-    let now = Unix.gettimeofday () in
-    let entries =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> List.mem (Filename.extension f) exts)
-      |> List.filter_map (fun f ->
-          let path = Filename.concat dir f in
-          match Unix.stat path with
-          | { Unix.st_kind = Unix.S_REG; st_mtime; st_size; _ } ->
-            Some (st_mtime, path, st_size)
-          | _ | (exception Unix.Unix_error _) -> None)
-      |> List.sort compare  (* oldest first; name breaks mtime ties *)
-    in
-    let deleted = ref 0 in
-    let remove path =
-      match Sys.remove path with
-      | () -> incr deleted; true
-      | exception Sys_error _ -> false
-    in
-    let survivors =
-      List.filter
-        (fun (mtime, path, _) ->
-           match max_age with
-           | Some age
-             when now -. mtime > float_of_int age && not (protect path) ->
-             not (remove path)
-           | _ -> true)
-        entries
-    in
-    (match max_bytes with
-     | None -> ()
-     | Some budget ->
-       let total =
-         ref (List.fold_left (fun a (_, _, sz) -> a + sz) 0 survivors)
-       in
-       List.iter
-         (fun (_, path, sz) ->
-            if !total > budget && not (protect path) && remove path then
-              total := !total - sz)
-         survivors);
-    !deleted
-  end
-
-let store ?(enabled = true) ?dir ?prune_age ?prune_bytes () =
-  Option.iter mkdir_p dir;
-  { enabled; dir; prune_age; prune_bytes; mu = Mutex.create ();
-    written = Hashtbl.create 16;
+let store ?(enabled = true) ?dir () =
+  Option.iter Envelope.mkdir_p dir;
+  { enabled; dir; mu = Mutex.create ();
     images = table "image" { enc = Image.to_bytes; dec = Image.of_bytes };
     analyses = table "analysis" (marshal_codec ());
     coverages = table "coverage" (marshal_codec ());
@@ -178,24 +113,6 @@ let store ?(enabled = true) ?dir ?prune_age ?prune_bytes () =
 let default_store = store ()
 
 let store_dir s = s.dir
-
-let prune_store ?max_age ?max_bytes s =
-  match s.dir with
-  | None -> 0
-  | Some dir ->
-    let max_age = match max_age with Some _ as a -> a | None -> s.prune_age in
-    let max_bytes =
-      match max_bytes with Some _ as b -> b | None -> s.prune_bytes
-    in
-    if max_age = None && max_bytes = None then 0
-    else
-      let protect path =
-        Mutex.lock s.mu;
-        let p = Hashtbl.mem s.written path in
-        Mutex.unlock s.mu;
-        p
-      in
-      prune_dir ?max_age ?max_bytes ~protect ~exts:[ ".jart" ] dir
 
 let tables s =
   [ ("image", s.images.ks); ("analysis", s.analyses.ks);
@@ -269,17 +186,15 @@ let publish_metrics s obs =
 (* ------------------------------------------------------------------ *)
 
 (* One file per entry, named by the kind and the MD5 of the full
-   content key. Self-describing, versioned and checksummed:
-
-     JART1\n <build version>\n <kind>\n <key>\n <payload MD5>\n <len>\n
-     <payload bytes>
-
-   The full key is stored and compared on load, so a filename-hash
-   collision reads back as a miss, never as a wrong artifact. A
-   mismatched build version is an ordinary miss (artifact formats may
-   change between builds); anything else malformed — bad magic, short
-   file, digest mismatch, codec exception — is a [`Error]: counted,
-   treated as a miss, and overwritten by the recomputed artifact. *)
+   content key: an [Envelope] with magic [JART1], the build stamp
+   ([Build_id.id]) as its version line, and the kind and the full key
+   as its fields. The full key is compared on load, so a filename-hash
+   collision reads back as a miss, never as a wrong artifact. An entry
+   from another build is an ordinary miss (its payload may [Marshal]
+   types this build does not have); anything else malformed — bad
+   magic, short file, digest mismatch, codec exception — is an
+   [`Error]: counted, treated as a miss, and overwritten by the
+   recomputed artifact. *)
 
 let entry_magic = "JART1"
 
@@ -291,54 +206,24 @@ let disk_load ~dir (t : 'v table) key : [ `Hit of 'v | `Miss | `Error ] =
   let path = entry_path dir t.kind key in
   if not (Sys.file_exists path) then `Miss
   else
-    let stale = ref false in
     match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-           let line () = input_line ic in
-           if line () <> entry_magic then failwith "magic";
-           if line () <> Version.version then begin
-             stale := true;
-             failwith "version"
-           end;
-           if line () <> t.kind then failwith "kind";
-           if line () <> key then failwith "key";
-           let md5 = line () in
-           let len = int_of_string (line ()) in
-           let payload = really_input_string ic len in
-           if pos_in ic <> in_channel_length ic then failwith "trailing";
-           if Digest.to_hex (Digest.string payload) <> md5 then
-             failwith "digest";
-           t.codec.dec (Bytes.of_string payload))
+      Envelope.decode ~magic:entry_magic ~version:Build_id.id ~fields:2
+        (Envelope.read_file path)
     with
-    | v -> `Hit v
-    | exception _ -> if !stale then `Miss else `Error
+    | Ok ([ kind; k ], payload) when kind = t.kind && k = key -> (
+        match t.codec.dec (Bytes.of_string payload) with
+        | v -> `Hit v
+        | exception _ -> `Error)
+    | Error Envelope.Stale -> `Miss
+    | Ok _ | Error (Envelope.Corrupt _) | (exception Sys_error _) -> `Error
 
-(* Atomic publication: write to a unique temp file in the same
-   directory, then rename over the final name. Readers see either the
-   old complete entry or the new complete entry, never a torn write —
-   concurrent writers of one key both publish the same (deterministic)
-   artifact, so last-rename-wins is benign. *)
+(* Concurrent writers of one key both publish the same (deterministic)
+   artifact, so whichever rename lands last is benign. *)
 let disk_save ~dir (t : 'v table) key v =
   match
-    let payload = Bytes.to_string (t.codec.enc v) in
-    let path = entry_path dir t.kind key in
-    let tmp = Filename.temp_file ~temp_dir:dir (t.kind ^ "-") ".tmp" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-      (fun () ->
-         let oc = open_out_bin tmp in
-         (try
-            Printf.fprintf oc "%s\n%s\n%s\n%s\n%s\n%d\n" entry_magic
-              Version.version t.kind key
-              (Digest.to_hex (Digest.string payload))
-              (String.length payload);
-            output_string oc payload
-          with e -> close_out_noerr oc; raise e);
-         close_out oc;
-         Sys.rename tmp path)
+    Envelope.publish (entry_path dir t.kind key)
+      (Envelope.encode ~magic:entry_magic ~version:Build_id.id [ t.kind; key ]
+         (Bytes.to_string (t.codec.enc v)))
   with
   | () -> true
   | exception _ -> false
@@ -389,23 +274,11 @@ let memo s (t : _ table) key f =
         Hashtbl.replace t.tbl key v;
         Mutex.unlock s.mu;
         (match s.dir with
-         | Some dir ->
-           if disk_save ~dir t key v then begin
-             Mutex.lock s.mu;
-             Hashtbl.replace s.written (entry_path dir t.kind key) ();
-             Mutex.unlock s.mu;
-             (* keep the directory within its configured budget; the
-                entry just published is in [written], so the prune can
-                only evict other runs' stale artifacts *)
-             if s.prune_age <> None || s.prune_bytes <> None then
-               ignore (prune_store s)
-           end
-           else begin
-             Mutex.lock s.mu;
-             t.ks.ke <- t.ks.ke + 1;
-             Mutex.unlock s.mu
-           end
-         | None -> ());
+         | Some dir when not (disk_save ~dir t key v) ->
+           Mutex.lock s.mu;
+           t.ks.ke <- t.ks.ke + 1;
+           Mutex.unlock s.mu
+         | _ -> ());
         v
   end
 
@@ -567,8 +440,8 @@ let schedule ?(store = default_store) ?evidence ~cfg ~train_input image
 (* The verifier's verdict is a pure function of the image and the
    schedule's bytes, as static as the schedule itself, so it is an
    artifact like any other: computed once per (image, schedule) and
-   then a lookup. [Verify.version] keys it because the build version
-   does not move when a lint rule does. *)
+   then a lookup. [Verify.version] in the key names the rule set the
+   verdict was reached under. *)
 let verify ?(store = default_store) ?pool image schedule =
   let key =
     Printf.sprintf "%s|sched=%s|verify=%s" (image_key image)

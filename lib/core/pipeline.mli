@@ -110,50 +110,19 @@ type store
     backend, useful to measure cold-pipeline cost.
 
     [dir] adds a persistent layer under that directory (created if
-    missing): every artifact is also published on disk as a versioned,
-    checksummed, content-keyed entry, and a memory miss consults the
-    directory before recomputing — so a fresh process answers a binary
-    it has seen in {e any} earlier run from the warm store. Writes are
-    atomic (temp file + rename), so concurrent processes sharing one
-    directory never observe a torn entry; loads are corruption-tolerant
-    — a truncated, tampered or stale-version entry is a miss (counted
-    under disk errors where malformed), never a crash, and is
-    overwritten by the recomputed artifact. A persistent hit is
-    byte-identical to a recomputation, so cold and warm runs produce
-    identical artifacts.
-
-    [prune_age]/[prune_bytes] bound the persistent directory: after
-    each publish the oldest entries (by mtime) beyond the age or byte
-    budget are deleted — except entries this process itself wrote,
-    which stay until the next run's prune (deleting an artifact the
-    live process just published would defeat the warm-store
-    guarantee). *)
-val store :
-  ?enabled:bool -> ?dir:string -> ?prune_age:int -> ?prune_bytes:int ->
-  unit -> store
+    missing): every artifact is also published there as a checked
+    {!Envelope} entry ([<kind>-<md5(key)>.jart], written atomically),
+    and a memory miss consults the directory before recomputing — so a
+    fresh process answers from everything earlier runs computed.
+    Entries carry the build stamp {!Build_id.id}: one from another
+    build (whose [Marshal]ed payload may not fit this build's types) is
+    a plain miss; a truncated or tampered one is a miss counted under
+    disk errors. Either is overwritten by the recomputed artifact, which
+    is byte-identical to a persistent hit. Nothing is ever deleted. *)
+val store : ?enabled:bool -> ?dir:string -> unit -> store
 
 (** The persistent layer's directory, if the store has one. *)
 val store_dir : store -> string option
-
-(** [prune_dir dir ~exts] deletes persisted entries under [dir] whose
-    extension is in [exts] (e.g. [[".jart"; ".jprof"]]), oldest mtime
-    first: first everything older than [max_age] seconds, then — while
-    the survivors still exceed [max_bytes] — the oldest of them.
-    [protect] exempts paths (the live process's own writes). Ties break
-    on the file name, so the deletion order is deterministic. Returns
-    the number of files deleted; unreadable files are skipped. *)
-val prune_dir :
-  ?max_age:int ->
-  ?max_bytes:int ->
-  ?protect:(string -> bool) ->
-  exts:string list ->
-  string ->
-  int
-
-(** Prune the store's persistent directory now (no-op without one),
-    protecting entries written by this process. Limits default to the
-    store's configured [prune_age]/[prune_bytes]. *)
-val prune_store : ?max_age:int -> ?max_bytes:int -> store -> int
 
 (** The process-wide store the [?store] parameters default to, so
     repeated pipeline runs in one process share static artifacts unless

@@ -5,6 +5,7 @@ module Janus = Janus_core.Janus
 module Image = Janus_vx.Image
 module Schedule = Janus_schedule.Schedule
 module Version = Janus_core.Version
+module Envelope = Janus_core.Envelope
 
 type source = Training | Fleet | Governed
 
@@ -336,53 +337,36 @@ let aggregate t =
 
 let magic = "JPROF1"
 
-let to_bytes t =
+(* [Version.version], not the build stamp: the payload codec is
+   explicit, so profiles outlive rebuilds *)
+let encode t =
   let payload = Buffer.create 1024 in
   wu32 payload (List.length t.p_runs);
   List.iter
     (fun r -> Buffer.add_bytes payload (encode_run_body r))
     t.p_runs;
-  let payload = Buffer.contents payload in
-  let header =
-    Printf.sprintf "%s\n%s\n%s\n%s\n%d\n" magic Version.version t.p_image
-      (Digest.to_hex (Digest.string payload))
-      (String.length payload)
-  in
-  Bytes.of_string (header ^ payload)
+  Envelope.encode ~magic ~version:Version.version [ t.p_image ]
+    (Buffer.contents payload)
 
-let of_bytes b =
-  let pos = ref 0 in
-  let line what =
-    match Bytes.index_from_opt b !pos '\n' with
-    | None -> bad "truncated header (%s)" what
-    | Some nl ->
-      let s = Bytes.sub_string b !pos (nl - !pos) in
-      pos := nl + 1;
-      s
-  in
-  let m = line "magic" in
-  if not (String.equal m magic) then bad "bad magic %S" m;
-  let v = line "version" in
-  if not (String.equal v Version.version) then
-    bad "version %s (this build writes %s)" v Version.version;
-  let image = line "image" in
-  let md5 = line "digest" in
-  let len =
-    match int_of_string_opt (line "length") with
-    | Some n when n >= 0 -> n
-    | _ -> bad "bad payload length"
-  in
-  if !pos + len <> Bytes.length b then
-    bad "payload length %d does not match file size" len;
-  let payload = Bytes.sub b !pos len in
-  if not (String.equal md5 (Digest.to_hex (Digest.bytes payload))) then
-    bad "payload digest mismatch";
-  let pos = ref 0 in
-  let nruns = ru32 payload pos in
-  if nruns > 1_000_000 then bad "implausible run count %d" nruns;
-  let runs = List.init nruns (fun _ -> decode_run payload pos) in
-  if !pos <> len then bad "trailing bytes after run %d" nruns;
-  { p_image = image; p_runs = sort_runs runs }
+let to_bytes t = Bytes.of_string (encode t)
+
+let decode s =
+  match Envelope.decode ~magic ~version:Version.version ~fields:1 s with
+  | Error Envelope.Stale ->
+    bad "stale version (this build reads %s)" Version.version
+  | Error (Envelope.Corrupt m) -> raise (Bad_profile m)
+  | Ok (fields, payload) ->
+    let image = List.hd fields in
+    let payload = Bytes.of_string payload in
+    let pos = ref 0 in
+    let nruns = ru32 payload pos in
+    if nruns > 1_000_000 then bad "implausible run count %d" nruns;
+    let runs = List.init nruns (fun _ -> decode_run payload pos) in
+    if !pos <> Bytes.length payload then
+      bad "trailing bytes after run %d" nruns;
+    { p_image = image; p_runs = sort_runs runs }
+
+let of_bytes b = decode (Bytes.to_string b)
 
 (* ------------------------------------------------------------------ *)
 (* Evidence *)
@@ -458,44 +442,28 @@ module Store = struct
     written : (string, unit) Hashtbl.t;  (* live paths, never pruned *)
   }
 
-  let rec mkdir_p d =
-    if d <> "" && not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-
   let open_ dir =
-    mkdir_p dir;
+    Envelope.mkdir_p dir;
     { sd = dir; mu = Mutex.create (); errs = 0; written = Hashtbl.create 8 }
 
-  let dir t = t.sd
-  let path t image = Filename.concat t.sd (image ^ ".jprof")
-
-  let read_file p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        let b = Bytes.create n in
-        really_input ic b 0 n;
-        b)
+  (* The image name becomes a file name, and it arrives inside the
+     profile (a daemon upload included): only a digest is a safe one,
+     so nothing can name a path outside the store. *)
+  let path t image =
+    let hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+    if image = "" || not (String.for_all hex image) then
+      bad "image %S is not a lowercase hex digest" image;
+    Filename.concat t.sd (image ^ ".jprof")
 
   (* Unlocked: callers hold [mu]. *)
   let load_at t ~image p =
     if not (Sys.file_exists p) then None
     else
-      match of_bytes (read_file p) with
+      match decode (Envelope.read_file p) with
       | prof when String.equal prof.p_image image -> Some prof
-      | _ ->
+      | _ | (exception (Bad_profile _ | Sys_error _)) ->
         (* a valid file filed under the wrong name is as useless as a
            corrupt one *)
-        t.errs <- t.errs + 1;
-        None
-      | exception Bad_profile _ ->
-        t.errs <- t.errs + 1;
-        None
-      | exception Sys_error _ ->
         t.errs <- t.errs + 1;
         None
 
@@ -516,12 +484,7 @@ module Store = struct
           | Some existing -> merge existing prof
           | None -> prof
         in
-        let tmp = Printf.sprintf "%s.%d.tmp" p (Unix.getpid ()) in
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_bytes oc (to_bytes merged));
-        Sys.rename tmp p;
+        Envelope.publish p (encode merged);
         Hashtbl.replace t.written p ();
         merged)
 
@@ -535,7 +498,7 @@ module Store = struct
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.mu)
       (fun () ->
-        Pipeline.prune_dir ?max_age ?max_bytes ~protect ~exts:[ ".jprof" ]
+        Envelope.prune_dir ?max_age ?max_bytes ~protect ~exts:[ ".jprof" ]
           t.sd)
 end
 

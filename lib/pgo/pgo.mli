@@ -160,8 +160,9 @@ val generation : t -> string
 
 (** {1 The versioned codec (.jprof)}
 
-    Layout mirrors the artifact store's [.jart] entries:
-    {v JPROF1\n <build version>\n <image digest>\n <payload md5>\n
+    A {!Janus_core.Envelope}, stamped with {!Janus_core.Version.version}
+    (the codec is explicit, so profiles survive rebuilds):
+    {v JPROF1\n <version>\n <image digest>\n <payload md5>\n
        <len>\n <payload> v}
     The payload is a hand-rolled binary encoding of the run set in
     canonical order, so [to_bytes] is deterministic and
@@ -171,18 +172,20 @@ exception Bad_profile of string
 
 val to_bytes : t -> bytes
 
-(** @raise Bad_profile on bad magic, stale build version, digest or
-    length mismatch, truncation, or malformed payload. *)
+(** @raise Bad_profile on bad magic, stale version, digest or length
+    mismatch, truncation, or malformed payload — and on nothing else. *)
 val of_bytes : bytes -> t
 
 (** {1 The persistent store}
 
-    One [.jprof] file per image digest under a directory shared by any
-    number of producers. [save] is read-merge-write with an atomic
-    rename, so a reader never sees a torn file; a corrupt, truncated or
+    One [<image>.jprof] file per image digest under a directory shared
+    by any number of producers. [save] is read-merge-write published
+    atomically ({!Janus_core.Envelope.publish}); a corrupt, truncated or
     wrong-version file is counted under {!Store.errors}, treated
     exactly as if absent, and overwritten (repaired) by the next
-    [save]. *)
+    [save]. An image name that is not non-empty lowercase hex
+    ({!Pipeline.image_key}'s form) raises [Bad_profile]: it would name
+    a path. *)
 module Store : sig
   type profile := t
 
@@ -191,14 +194,13 @@ module Store : sig
   (** Open (creating if missing) the store rooted at a directory. *)
   val open_ : string -> t
 
-  val dir : t -> string
-
   (** The merged profile for one image, or [None] when nothing valid
       is stored. *)
   val load : t -> image:string -> profile option
 
   (** Merge [profile] with what is stored for its image and persist the
-      union; returns the merged profile. *)
+      union; returns the merged profile.
+      @raise Sys_error when the file cannot be published. *)
   val save : t -> profile -> profile
 
   (** Run entries stored for one image (0 when absent). *)

@@ -15,9 +15,10 @@ module Pgo = Janus_pgo.Pgo
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The magic embeds the build version: a frame from a different build
-   fails the magic comparison before any Marshal decoding happens. *)
-let frame_magic = Printf.sprintf "JSRV1/%s\n" Janus_core.Version.version
+(* The magic embeds the build stamp, which moves with every library
+   source change: a frame from a different build fails the magic
+   comparison before any Marshal decoding happens. *)
+let frame_magic = Printf.sprintf "JSRV1/%s\n" Janus_core.Build_id.id
 
 (* generous bound on one frame: images and schedules are small; a
    length beyond this means a corrupt or hostile header *)

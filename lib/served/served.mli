@@ -12,9 +12,10 @@
     is byte-identical to a cold one.
 
     The protocol is Marshal payloads behind a magic-and-length frame
-    header; the magic embeds the build version, so a client from a
-    different build fails cleanly at the first frame instead of
-    decoding garbage. The server handles one connection at a time
+    header; the magic embeds the build stamp
+    ({!Janus_core.Build_id.id}, a digest of the library sources), so a
+    client from a different build fails cleanly at the first frame
+    instead of decoding garbage. The server handles one connection at a time
     (requests are CPU-bound; concurrency comes from the domain pool
     {e inside} a request, not from interleaving requests). *)
 

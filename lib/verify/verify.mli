@@ -17,11 +17,10 @@ module Schedule = Janus_schedule.Schedule
 module Rule = Janus_schedule.Rule
 
 (** The linter's rule-set version. Verdicts are memoised and persisted
-    under it ({!Janus_core.Pipeline.verify}), and the build version
-    never changes, so bump this whenever a lint rule, a finding, or
-    {!check_and_demote}'s demotion policy changes: a store directory
-    that outlives the change then misses instead of serving a stale
-    verdict. *)
+    under it ({!Janus_core.Pipeline.verify}), so bump this whenever a
+    lint rule, a finding, or {!check_and_demote}'s demotion policy
+    changes: a memoised verdict then misses instead of serving a stale
+    one. *)
 val version : string
 
 type severity = Error | Warning | Info

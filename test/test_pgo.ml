@@ -8,6 +8,7 @@
 
 module Pgo = Janus_pgo.Pgo
 module Pipeline = Janus_core.Pipeline
+module Envelope = Janus_core.Envelope
 module Janus = Janus_core.Janus
 module Adapt = Janus_adapt.Adapt
 module Profiler = Janus_profile.Profiler
@@ -143,6 +144,60 @@ let test_corrupt_bytes_raise () =
   in
   raises_bad_profile "wrong version" wrong_version
 
+(* The .jprof bytes are a persisted format: profiles written by an
+   earlier build must keep loading, so their encoding never moves. *)
+let test_jprof_bytes_pinned () =
+  let b = Pgo.to_bytes (sample_profile ()) in
+  Alcotest.(check (pair int string)) "length and md5 of the encoding"
+    (182, "4e07b17c79691c1b945a3585d8dea99c")
+    (Bytes.length b, Digest.to_hex (Digest.bytes b))
+
+(* small profiles, so every truncation and mutation stays cheap *)
+let gen_small_profile =
+  let open QCheck2.Gen in
+  let run =
+    let* source = oneofl [ Pgo.Training; Pgo.Fleet; Pgo.Governed ] in
+    let* input = oneofl [ ""; "4"; "10,20" ] in
+    let* total_insns = int_range 0 10_000_000 in
+    let+ loops = list_size (int_range 0 2) gen_ledger in
+    Pgo.make_run ~source ~input ~total_insns loops
+  in
+  let* image = int_range 0 0xffffff >|= Printf.sprintf "%08x" in
+  let+ runs = list_size (int_range 0 2) run in
+  List.fold_left Pgo.add (Pgo.empty image) runs
+
+(* Every truncation and single-byte mutation of a valid .jprof, and of
+   its payload re-wrapped under a matching digest (so the run decoder
+   itself reads the damage), either decodes or raises Bad_profile. *)
+let prop_of_bytes_only_bad_profile =
+  QCheck2.Test.make ~count:100
+    ~name:"of_bytes raises only Bad_profile under truncation and mutation"
+    QCheck2.Gen.(pair gen_small_profile (int_range 1 255))
+    (fun (p, mask) ->
+      let decodes s =
+        match Pgo.of_bytes (Bytes.of_string s) with
+        | _ -> true
+        | exception Pgo.Bad_profile _ -> true
+      in
+      let good = Bytes.to_string (Pgo.to_bytes p) in
+      let rewrapped =
+        match
+          Envelope.decode ~magic:"JPROF1" ~version:Janus_core.Version.version
+            ~fields:1 good
+        with
+        | Ok (fields, payload) ->
+          List.map
+            (Envelope.encode ~magic:"JPROF1"
+               ~version:Janus_core.Version.version fields)
+            (Test_pipeline.truncations payload
+             @ Test_pipeline.mutations ~mask payload)
+        | Error _ -> failwith "a fresh encoding does not decode"
+      in
+      List.for_all decodes
+        (Test_pipeline.truncations good
+         @ Test_pipeline.mutations ~mask good
+         @ rewrapped))
+
 (* A corrupt store entry is counted, treated exactly as absent, and
    overwritten (repaired) by the next save. *)
 let test_store_corruption_is_absence () =
@@ -169,6 +224,40 @@ let test_store_corruption_is_absence () =
   | None -> Alcotest.fail "store not repaired");
   Alcotest.(check int) "no new errors once repaired" errs_after_save
     (Pgo.Store.errors store)
+
+(* A save that cannot publish raises and leaves no temp file behind. *)
+let test_failed_save_leaves_no_temp () =
+  Test_pipeline.with_temp_dir (fun dir ->
+      let store = Pgo.Store.open_ dir in
+      Sys.mkdir (Filename.concat dir "feedface.jprof") 0o755;
+      (match Pgo.Store.save store (sample_profile ()) with
+      | _ -> Alcotest.fail "publishing over a directory must raise"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (list string)) "no temp file left" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".tmp")
+           (Array.to_list (Sys.readdir dir))))
+
+(* The image line names the store file, so only a digest may: other
+   names are refused before any path is built. *)
+let test_store_refuses_non_digest_images () =
+  Test_pipeline.with_temp_dir (fun dir ->
+      let store = Pgo.Store.open_ dir in
+      List.iter
+        (fun image ->
+          let p =
+            Pgo.add (Pgo.empty image)
+              (Pgo.make_run ~source:Pgo.Fleet ~input:"1" ~total_insns:1 [])
+          in
+          (match Pgo.Store.save store p with
+          | _ -> Alcotest.failf "saving image %S must be refused" image
+          | exception Pgo.Bad_profile _ -> ());
+          match Pgo.Store.load store ~image with
+          | _ -> Alcotest.failf "loading image %S must be refused" image
+          | exception Pgo.Bad_profile _ -> ())
+        [ ""; "../escaped"; "FEEDFACE"; "feed/face"; "feedface.jprof" ];
+      Alcotest.(check (list string)) "nothing written" []
+        (Array.to_list (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Pruning *)
@@ -211,7 +300,7 @@ let test_prune_bytes_oldest_first () =
   mk "other.txt" 400;
   (* 300 bytes of .jart; fitting 250 needs exactly the oldest gone,
      and the foreign extension is never touched *)
-  let deleted = Pipeline.prune_dir ~max_bytes:250 ~exts:[ ".jart" ] dir in
+  let deleted = Envelope.prune_dir ~max_bytes:250 ~exts:[ ".jart" ] dir in
   Alcotest.(check int) "oldest pruned" 1 deleted;
   Alcotest.(check bool) "newest survives" true
     (Sys.file_exists (Filename.concat dir "new.jart"));
@@ -222,7 +311,7 @@ let test_prune_bytes_oldest_first () =
   (* protect wins over the byte budget *)
   mk "keep.jart" 500;
   let deleted =
-    Pipeline.prune_dir ~max_bytes:0
+    Envelope.prune_dir ~max_bytes:0
       ~protect:(fun p -> Filename.basename p = "keep.jart")
       ~exts:[ ".jart" ] dir
   in
@@ -288,9 +377,7 @@ let alias_kernel =
 let test_cfg = Janus.config ~work_threshold:500.0 ()
 
 let with_store f =
-  let dir = Filename.temp_file "janus-pgo" "" in
-  Sys.remove dir;
-  f (Pgo.Store.open_ dir)
+  Test_pipeline.with_temp_dir (fun dir -> f (Pgo.Store.open_ dir))
 
 let test_evidence_flips_selection () =
   with_store (fun store ->
@@ -443,6 +530,32 @@ let test_daemon_refuses_upload_without_store () =
           | _ -> Alcotest.fail "upload without --profile-dir must fail"
           | exception Failure _ -> ()))
 
+(* A daemon upload whose image line is a path must not write outside
+   the profile directory; it is refused, counted, and the daemon
+   answers the next request. *)
+let test_daemon_refuses_escaping_upload () =
+  Test_pipeline.with_temp_dir (fun base ->
+      let profile_dir = Filename.concat base "profiles" in
+      let escaping =
+        Pgo.add (Pgo.empty "../escaped")
+          (Pgo.make_run ~source:Pgo.Fleet ~input:"1" ~total_insns:1 [])
+      in
+      Test_served.with_server ~profile_dir (fun socket ->
+          let c = Served.connect ~socket in
+          Fun.protect
+            ~finally:(fun () -> Served.disconnect c)
+            (fun () ->
+              (match Served.upload c (Pgo.to_bytes escaping) with
+              | _ -> Alcotest.fail "an upload naming a path must be refused"
+              | exception Failure _ -> ());
+              Alcotest.(check (option int)) "refusal counted" (Some 1)
+                (List.assoc_opt "served.errors" (Served.metrics c))));
+      Alcotest.(check (list string)) "nothing beside the profile directory"
+        [ "profiles" ]
+        (Array.to_list (Sys.readdir base));
+      Alcotest.(check (list string)) "nothing inside it" []
+        (Array.to_list (Sys.readdir profile_dir)))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -454,6 +567,12 @@ let tests =
       test_merge_rejects_other_image;
     Alcotest.test_case "corrupt bytes raise Bad_profile" `Quick
       test_corrupt_bytes_raise;
+    Alcotest.test_case ".jprof bytes pinned" `Quick test_jprof_bytes_pinned;
+    QCheck_alcotest.to_alcotest prop_of_bytes_only_bad_profile;
+    Alcotest.test_case "failed save leaves no temp file" `Quick
+      test_failed_save_leaves_no_temp;
+    Alcotest.test_case "store refuses non-digest image names" `Quick
+      test_store_refuses_non_digest_images;
     Alcotest.test_case "store treats corruption as absence and repairs"
       `Quick test_store_corruption_is_absence;
     Alcotest.test_case "prune honours age and protects live writes" `Quick
@@ -470,4 +589,6 @@ let tests =
       test_daemon_upload_and_restart;
     Alcotest.test_case "daemon refuses uploads without a profile store"
       `Quick test_daemon_refuses_upload_without_store;
+    Alcotest.test_case "daemon refuses an upload that escapes its store"
+      `Quick test_daemon_refuses_escaping_upload;
   ]

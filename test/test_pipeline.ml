@@ -254,6 +254,139 @@ let test_disk_counters_published () =
     (Pipeline.cache_stats s2).Pipeline.hits
     (c "pipeline.cache.hits")
 
+(* ---- the checked-file envelope ---- *)
+
+(* [f] on a fresh directory, removed with its contents afterwards *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "janus-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let read_entry path = In_channel.with_open_bin path In_channel.input_all
+
+let only_entry dir prefix =
+  match
+    List.filter (String.starts_with ~prefix) (Array.to_list (Sys.readdir dir))
+  with
+  | [ e ] -> Filename.concat dir e
+  | es ->
+    Alcotest.failf "expected one %s entry, found %d" prefix (List.length es)
+
+let image_stat store =
+  List.find
+    (fun (k : Pipeline.kind_stat) -> k.Pipeline.k_kind = "image")
+    (Pipeline.kind_stats store)
+
+(* The layout of a .jart entry, pinned byte for byte; then a real entry
+   on disk, read back through the envelope with the store's magic and
+   this build's stamp. *)
+let test_jart_envelope_golden () =
+  Alcotest.(check string) "envelope layout"
+    "JART1\nf00d\nschedule\nk|fuel=9\nec99d2599fa990eb070ef49d9df5bf36\n9\n\
+     payload\n\000"
+    (Envelope.encode ~magic:"JART1" ~version:"f00d" [ "schedule"; "k|fuel=9" ]
+       "payload\n\000");
+  with_temp_dir (fun dir ->
+      let img = Pipeline.compile ~store:(Pipeline.store ~dir ()) kernel in
+      match
+        Envelope.decode ~magic:"JART1" ~version:Build_id.id ~fields:2
+          (read_entry (only_entry dir "image-"))
+      with
+      | Ok ([ kind; _key ], payload) ->
+        Alcotest.(check string) "kind field" "image" kind;
+        Alcotest.(check string) "payload is the image codec's bytes"
+          (Bytes.to_string (Janus_vx.Image.to_bytes img)) payload
+      | Ok _ | Error _ -> Alcotest.fail "the image entry does not decode")
+
+(* An entry another build wrote is an ordinary miss, not a disk error:
+   its payload may Marshal types this build does not have. The entry is
+   restamped with the release version, which does not follow the
+   sources and so cannot tell two builds of one release apart. *)
+let test_other_build_entry_is_miss () =
+  with_temp_dir (fun dir ->
+      ignore (Pipeline.compile ~store:(Pipeline.store ~dir ()) kernel);
+      let entry = only_entry dir "image-" in
+      let lines () = String.split_on_char '\n' (read_entry entry) in
+      (match lines () with
+       | magic :: _ :: rest ->
+         Out_channel.with_open_bin entry (fun oc ->
+             Out_channel.output_string oc
+               (String.concat "\n" (magic :: Version.version :: rest)))
+       | _ -> Alcotest.fail "short entry");
+      let s2 = Pipeline.store ~dir () in
+      ignore (Pipeline.compile ~store:s2 kernel);
+      let k2 = image_stat s2 in
+      Alcotest.(check (triple int int int))
+        "a miss, no disk error, no disk hit" (1, 0, 0)
+        (k2.Pipeline.k_misses, k2.Pipeline.k_disk_errors,
+         k2.Pipeline.k_disk_hits);
+      Alcotest.(check string) "recomputed entry carries this build's stamp"
+        Build_id.id (List.nth (lines ()) 1);
+      let s3 = Pipeline.store ~dir () in
+      ignore (Pipeline.compile ~store:s3 kernel);
+      Alcotest.(check (pair int int)) "overwritten entry loads" (0, 1)
+        ((image_stat s3).Pipeline.k_misses,
+         (image_stat s3).Pipeline.k_disk_hits))
+
+(* header lines: any bytes but a newline *)
+let gen_line =
+  QCheck2.Gen.(
+    map (String.map (fun c -> if c = '\n' then ' ' else c))
+      (string_size (int_range 0 12)))
+
+let gen_envelope =
+  QCheck2.Gen.(
+    quad gen_line gen_line
+      (list_size (int_range 0 3) gen_line)
+      (string_size (int_range 0 64)))
+
+let print_envelope (magic, version, fields, payload) =
+  Printf.sprintf "magic=%S version=%S fields=[%s] payload=%S" magic version
+    (String.concat "; " (List.map (Printf.sprintf "%S") fields))
+    payload
+
+let prop_envelope_round_trip =
+  QCheck2.Test.make ~count:300 ~name:"envelope decode inverts encode"
+    ~print:print_envelope gen_envelope
+    (fun (magic, version, fields, payload) ->
+       Envelope.decode ~magic ~version ~fields:(List.length fields)
+         (Envelope.encode ~magic ~version fields payload)
+       = Ok (fields, payload))
+
+(* every strict prefix of [s] *)
+let truncations s = List.init (String.length s) (fun n -> String.sub s 0 n)
+
+(* [s] with each byte in turn xored with [mask] (1..255) *)
+let mutations ~mask s =
+  List.init (String.length s) (fun i ->
+      String.mapi
+        (fun j c -> if i = j then Char.chr (Char.code c lxor mask) else c)
+        s)
+
+let prop_envelope_decode_total =
+  QCheck2.Test.make ~count:100
+    ~name:"envelope decode is total under truncation and mutation"
+    ~print:(fun (e, mask) ->
+        Printf.sprintf "%s mask=%d" (print_envelope e) mask)
+    QCheck2.Gen.(pair gen_envelope (int_range 1 255))
+    (fun ((magic, version, fields, payload), mask) ->
+       let decode s =
+         Envelope.decode ~magic ~version ~fields:(List.length fields) s
+       in
+       let good = Envelope.encode ~magic ~version fields payload in
+       List.for_all (fun s -> Result.is_error (decode s)) (truncations good)
+       && List.for_all
+            (fun s -> match decode s with Ok _ | Error _ -> true)
+            (mutations ~mask good))
+
 (* ---- the verified artifact ---- *)
 
 module Verify = Janus_verify.Verify
@@ -370,16 +503,7 @@ let test_corrupt_verified_entry_recomputed () =
   let cold =
     verdict (Pipeline.verify ~store:(Pipeline.store ~dir ()) img sched)
   in
-  let entry =
-    match
-      List.filter
-        (fun f -> String.starts_with ~prefix:"verified-" f)
-        (Array.to_list (Sys.readdir dir))
-    with
-    | [ e ] -> Filename.concat dir e
-    | es ->
-      Alcotest.failf "expected one verified entry, found %d" (List.length es)
-  in
+  let entry = only_entry dir "verified-" in
   let oc = open_out_bin entry in
   output_string oc "this is not a verdict";
   close_out oc;
@@ -493,6 +617,12 @@ let tests =
       test_concurrent_writers_no_torn_entry;
     Alcotest.test_case "disk counters published to obs" `Quick
       test_disk_counters_published;
+    Alcotest.test_case ".jart envelope layout pinned" `Quick
+      test_jart_envelope_golden;
+    Alcotest.test_case "entry from another build is a miss" `Quick
+      test_other_build_entry_is_miss;
+    QCheck_alcotest.to_alcotest prop_envelope_round_trip;
+    QCheck_alcotest.to_alcotest prop_envelope_decode_total;
     Alcotest.test_case "verified artifact equals the lint" `Quick
       test_verified_equals_lint;
     Alcotest.test_case "verify version pins the verdicts" `Quick

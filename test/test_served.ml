@@ -159,6 +159,46 @@ let test_garbage_connection_survived () =
           Alcotest.(check bool) "real request still answered" true
             (Bytes.length r.Served.s_schedule > 0)))
 
+(* A frame another build sent is refused at its magic, before any
+   Marshal decoding; the daemon counts it and keeps serving. The frame
+   is stamped with the release version, which does not follow the
+   sources and so cannot tell two builds of one release apart. *)
+let test_other_build_frame_refused () =
+  with_server (fun socket ->
+      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      (* a Metrics request (the request type's first constant
+         constructor), padded to the length of this build's magic so
+         that the daemon reads a whole magic instead of waiting *)
+      let payload = Marshal.to_bytes 0 [] in
+      let frame = Buffer.create 64 in
+      Buffer.add_string frame
+        (Printf.sprintf "JSRV1/%s\n" Janus_core.Version.version);
+      Buffer.add_int32_be frame (Int32.of_int (Bytes.length payload));
+      Buffer.add_bytes frame payload;
+      let magic_len =
+        String.length (Printf.sprintf "JSRV1/%s\n" Janus_core.Build_id.id)
+      in
+      while Buffer.length frame < magic_len do
+        Buffer.add_char frame '\n'
+      done;
+      let b = Buffer.to_bytes frame in
+      ignore (Unix.write fd b 0 (Bytes.length b));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let reply = Bytes.create 64 in
+      let n =
+        try Unix.read fd reply 0 64
+        with Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
+      in
+      Unix.close fd;
+      Alcotest.(check int) "no reply to another build's frame" 0 n;
+      let c = Served.connect ~socket in
+      Fun.protect
+        ~finally:(fun () -> Served.disconnect c)
+        (fun () ->
+          Alcotest.(check (option int)) "refusal counted" (Some 1)
+            (List.assoc_opt "served.errors" (Served.metrics c))))
+
 let tests =
   [
     Alcotest.test_case "second answer is warm and identical" `Quick
@@ -167,4 +207,6 @@ let tests =
       test_restart_answers_from_disk;
     Alcotest.test_case "garbage connection does not kill the server" `Quick
       test_garbage_connection_survived;
+    Alcotest.test_case "frame from another build is refused" `Quick
+      test_other_build_frame_refused;
   ]
