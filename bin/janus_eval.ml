@@ -110,15 +110,6 @@ let run names jobs no_cache store_dir profile_dir metrics list =
        die exit_out_of_fuel "a baseline run exhausted its fuel budget"
      | Invalid_argument msg | Failure msg -> die exit_bad_input "%s" msg)
 
-let pos_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be positive, got %d" what n))
-    | None -> Error (`Msg (Printf.sprintf "%s must be an integer, got %S" what s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let names =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
          ~doc:"Experiments to regenerate (fig6 fig7 fig8 table1 fig9 fig10 \
@@ -127,7 +118,7 @@ let names =
                Default: all.")
 
 let jobs =
-  Arg.(value & opt (pos_int "--jobs") 1
+  Arg.(value & opt (Cli.pos_int "--jobs") 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Evaluate benchmark rows on $(docv) domains. Output is\n\
                  byte-identical to --jobs 1.")

@@ -203,16 +203,8 @@ let threads_list =
               (default 1,2,4,8).")
 
 let jobs =
-  let pos_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "--jobs must be a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
   Arg.(
-    value & opt pos_int 1
+    value & opt (Cli.pos_int "--jobs") 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Check kernels on $(docv) domains. Case generation is keyed \
               by (seed, case index), so pass/skip/fail totals and any \

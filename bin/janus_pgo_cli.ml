@@ -5,7 +5,7 @@
              [--fuel N]
      show    --bench NAME --store DIR
      iterate --bench NAME --store DIR [--rounds N] [--threshold PCT]
-             [--fleet N,N,...] [--adapt] [--jobs N]
+             [--fleet N,N,...] [--adapt]
      store prune --dir DIR [--max-age SECONDS] [--max-bytes BYTES]
 
    collect runs the offline profiler over one input and merges the run
@@ -14,118 +14,41 @@
    until the schedule digest is stable; store prune bounds the
    directory, oldest files first.
 
-   Exit codes: 0 success, 2 usage error, 3 runtime failure. *)
+   Exit codes: 0 success, 124 usage error (cmdliner), 3 runtime
+   failure. *)
 
+open Cmdliner
 module Pgo = Janus_pgo.Pgo
 module Suite = Janus_suite.Suite
 module Pipeline = Janus_core.Pipeline
 module Janus = Janus_core.Janus
-module Pool = Janus_pool.Pool
 
-let usage () =
-  Fmt.epr
-    "usage: janus_pgo collect --bench NAME --store DIR [--scale N] \
-     [--source fleet|training] [--fuel N]@.\
-    \       janus_pgo show --bench NAME --store DIR@.\
-    \       janus_pgo iterate --bench NAME --store DIR [--rounds N] \
-     [--threshold PCT] [--fleet N,N,...] [--adapt]@.\
-    \       janus_pgo store prune --dir DIR [--max-age SECONDS] \
-     [--max-bytes BYTES]@.";
-  exit 2
+let exit_runtime = 3
 
-(* every valued flag shares one guard: a flag with no value — last
-   argument included — is a usage error, never a silent default *)
-let missing_value flag =
-  Fmt.epr "janus_pgo: %s expects a value@." flag;
-  exit 2
+(* a [Failure] from the library is a runtime failure, not a crash *)
+let guard f =
+  try f (); 0 with Failure e -> Fmt.epr "%s@." e; exit_runtime
 
-let parse_opts args =
-  let opts = Hashtbl.create 8 in
-  let valued =
-    [ "--bench"; "--store"; "--dir"; "--scale"; "--source"; "--fuel";
-      "--rounds"; "--threshold"; "--fleet"; "--max-age"; "--max-bytes";
-      "--jobs" ]
-  in
-  let boolean = [ "--adapt" ] in
-  let rec go = function
-    | [] -> ()
-    | flag :: rest when List.mem flag valued -> (
-        match rest with
-        | v :: rest when not (String.length v > 2 && String.sub v 0 2 = "--")
-          ->
-          Hashtbl.replace opts flag v;
-          go rest
-        | _ -> missing_value flag)
-    | flag :: rest when List.mem flag boolean ->
-      Hashtbl.replace opts flag "true";
-      go rest
-    | arg :: _ ->
-      Fmt.epr "janus_pgo: unknown argument %S@." arg;
-      exit 2
-  in
-  go args;
-  opts
-
-let required opts flag =
-  match Hashtbl.find_opt opts flag with
-  | Some v -> v
-  | None ->
-    Fmt.epr "janus_pgo: %s is required@." flag;
-    exit 2
-
-let int_opt opts flag ~default =
-  match Hashtbl.find_opt opts flag with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> n
-      | _ ->
-        Fmt.epr "janus_pgo: %s expects a non-negative integer, got %S@." flag
-          v;
-        exit 2)
-
-let bench_of opts =
-  let name = required opts "--bench" in
-  match Suite.find name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "janus_pgo: unknown benchmark %S@." name;
-    exit 2
-
-let store_of opts = Pgo.Store.open_ (required opts "--store")
-
-let cmd_collect opts =
-  let b = bench_of opts in
-  let store = store_of opts in
-  let image = Suite.compile b in
+let collect (b : Suite.benchmark) store_dir scale source fuel =
+  guard @@ fun () ->
+  let store = Pgo.Store.open_ store_dir in
   let scale =
-    int_opt opts "--scale"
-      ~default:
-        (match Suite.ref_input b with x :: _ -> Int64.to_int x | [] -> 0)
-  in
-  let source =
-    match Hashtbl.find_opt opts "--source" with
-    | None | Some "fleet" -> Pgo.Fleet
-    | Some "training" -> Pgo.Training
-    | Some s ->
-      Fmt.epr "janus_pgo: --source expects fleet or training, got %S@." s;
-      exit 2
-  in
-  let fuel =
-    match Hashtbl.find_opt opts "--fuel" with
-    | None -> None
-    | Some _ -> Some (int_opt opts "--fuel" ~default:0)
+    match scale with
+    | Some n -> n
+    | None -> (
+        match Suite.ref_input b with x :: _ -> Int64.to_int x | [] -> 0)
   in
   let merged =
-    Pgo.collect ?fuel ~source ~store ~input:[ Int64.of_int scale ] image
+    Pgo.collect ?fuel ~source ~store ~input:[ Int64.of_int scale ]
+      (Suite.compile b)
   in
   Fmt.pr "bench=%s image=%s source=%s scale=%d runs=%d gen=%s@." b.Suite.name
     merged.Pgo.p_image (Pgo.source_name source) scale (Pgo.runs merged)
     (Pgo.generation merged)
 
-let cmd_show opts =
-  let b = bench_of opts in
-  let store = store_of opts in
+let show (b : Suite.benchmark) store_dir =
+  guard @@ fun () ->
+  let store = Pgo.Store.open_ store_dir in
   let image_k = Pipeline.image_key (Suite.compile b) in
   match Pgo.Store.load store ~image:image_k with
   | None ->
@@ -147,81 +70,122 @@ let cmd_show opts =
           (if a.Pgo.a_suspect then "yes" else "-"))
       (Pgo.aggregate p)
 
-let fleet_of opts b =
-  match Hashtbl.find_opt opts "--fleet" with
-  | None -> [ Suite.ref_input b ]
-  | Some spec ->
-    List.map
-      (fun s ->
-        match int_of_string_opt (String.trim s) with
-        | Some n -> [ Int64.of_int n ]
-        | None ->
-          Fmt.epr "janus_pgo: --fleet expects integers, got %S@." s;
-          exit 2)
-      (String.split_on_char ',' spec)
-
-let cmd_iterate opts =
-  let b = bench_of opts in
-  let store = store_of opts in
-  let image = Suite.compile b in
-  let adapt = Hashtbl.mem opts "--adapt" in
-  let cfg = Janus.config ~adapt () in
-  let max_rounds = int_opt opts "--rounds" ~default:6 in
-  let threshold =
-    match Hashtbl.find_opt opts "--threshold" with
-    | None -> 0.5
-    | Some v -> (
-        match float_of_string_opt v with
-        | Some f when f >= 0.0 -> f
-        | _ ->
-          Fmt.epr "janus_pgo: --threshold expects a percentage, got %S@." v;
-          exit 2)
+let iterate (b : Suite.benchmark) store_dir max_rounds threshold fleet adapt =
+  guard @@ fun () ->
+  let store = Pgo.Store.open_ store_dir in
+  let fleet =
+    match fleet with
+    | [] -> [ Suite.ref_input b ]
+    | scales -> List.map (fun n -> [ Int64.of_int n ]) scales
   in
-  let go pool =
-    ignore pool;
-    let outcome =
-      Pgo.Iterate.run ~cfg ~max_rounds ~threshold
-        ~log:(fun line -> Fmt.pr "%s@." line)
-        ~store ~train_input:(Suite.train_input b) ~fleet:(fleet_of opts b)
-        ~input:(Suite.ref_input b) image
-    in
-    Fmt.pr "converged=%b rounds=%d baseline-cycles=%d final-cycles=%d@."
-      outcome.Pgo.Iterate.o_converged
-      (List.length outcome.Pgo.Iterate.o_rounds)
-      outcome.Pgo.Iterate.o_baseline_cycles outcome.Pgo.Iterate.o_final_cycles
+  let outcome =
+    Pgo.Iterate.run ~cfg:(Janus.config ~adapt ()) ~max_rounds ~threshold
+      ~log:(fun line -> Fmt.pr "%s@." line)
+      ~store ~train_input:(Suite.train_input b) ~fleet
+      ~input:(Suite.ref_input b) (Suite.compile b)
   in
-  let jobs = int_opt opts "--jobs" ~default:1 in
-  if jobs > 1 then Pool.with_pool ~jobs (fun p -> go (Some p)) else go None
+  Fmt.pr "converged=%b rounds=%d baseline-cycles=%d final-cycles=%d@."
+    outcome.Pgo.Iterate.o_converged
+    (List.length outcome.Pgo.Iterate.o_rounds)
+    outcome.Pgo.Iterate.o_baseline_cycles outcome.Pgo.Iterate.o_final_cycles
 
-let cmd_store_prune opts =
-  let dir = required opts "--dir" in
+let prune dir max_age max_bytes =
   if not (Sys.file_exists dir) then begin
     Fmt.epr "janus_pgo: no such directory %s@." dir;
-    exit 3
-  end;
-  let store = Pgo.Store.open_ dir in
-  let max_age =
-    Option.map (fun _ -> int_opt opts "--max-age" ~default:0)
-      (Hashtbl.find_opt opts "--max-age")
-  in
-  let max_bytes =
-    Option.map (fun _ -> int_opt opts "--max-bytes" ~default:0)
-      (Hashtbl.find_opt opts "--max-bytes")
-  in
-  let n = Pgo.Store.prune ?max_age ?max_bytes store in
-  Fmt.pr "pruned=%d dir=%s@." n dir
+    exit_runtime
+  end
+  else
+    guard @@ fun () ->
+    let n = Pgo.Store.prune ?max_age ?max_bytes (Pgo.Store.open_ dir) in
+    Fmt.pr "pruned=%d dir=%s@." n dir
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: "store" :: "prune" :: rest ->
-    let opts = parse_opts rest in
-    (try cmd_store_prune opts with Failure e -> Fmt.epr "%s@." e; exit 3)
-  | _ :: cmd :: rest -> (
-      let opts = parse_opts rest in
-      let run f = try f opts with Failure e -> Fmt.epr "%s@." e; exit 3 in
-      match cmd with
-      | "collect" -> run cmd_collect
-      | "show" -> run cmd_show
-      | "iterate" -> run cmd_iterate
-      | _ -> usage ())
-  | _ -> usage ()
+(* ---- arguments ---- *)
+
+let nonneg_float what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0.0 -> Ok f
+    | _ ->
+      Error (`Msg (Printf.sprintf "%s must be a non-negative number, got %S"
+                     what s))
+  in
+  Arg.conv (parse, Fmt.float)
+
+let bench =
+  Arg.(required & opt (some Cli.bench) None
+       & info [ "bench" ] ~docv:"NAME" ~doc:"Suite benchmark to profile.")
+
+let store =
+  Arg.(required & opt (some string) None
+       & info [ "store" ] ~docv:"DIR"
+           ~doc:"The profile store (one .jprof per binary).")
+
+let scale =
+  Arg.(value & opt (some (Cli.nonneg_int "--scale")) None
+       & info [ "scale" ] ~docv:"N"
+           ~doc:"Input scale of the profiled run. Default: the reference \
+                 input.")
+
+let source =
+  Arg.(value & opt (enum [ ("fleet", Pgo.Fleet); ("training", Pgo.Training) ])
+         Pgo.Fleet
+       & info [ "source" ] ~docv:"fleet|training"
+           ~doc:"Where the run came from.")
+
+let fuel =
+  Arg.(value & opt (some (Cli.nonneg_int "--fuel")) None
+       & info [ "fuel" ] ~docv:"N" ~doc:"Instruction budget of the run.")
+
+let rounds =
+  Arg.(value & opt (Cli.nonneg_int "--rounds") 6
+       & info [ "rounds" ] ~docv:"N" ~doc:"Stop after $(docv) rounds.")
+
+let threshold =
+  Arg.(value & opt (nonneg_float "--threshold") 0.5
+       & info [ "threshold" ] ~docv:"PCT"
+           ~doc:"Also stop once a round improves cycles by less than \
+                 $(docv) percent.")
+
+let fleet =
+  Arg.(value & opt (list int) []
+       & info [ "fleet" ] ~docv:"N,N,..."
+           ~doc:"Input scales of the fleet runs each round. Default: the \
+                 reference input.")
+
+let adapt =
+  Arg.(value & flag
+       & info [ "adapt" ] ~doc:"Run under the online adaptive governor.")
+
+let dir =
+  Arg.(required & opt (some string) None
+       & info [ "dir" ] ~docv:"DIR" ~doc:"The store directory to prune.")
+
+let max_age =
+  Arg.(value & opt (some (Cli.nonneg_int "--max-age")) None
+       & info [ "max-age" ] ~docv:"SECONDS"
+           ~doc:"Delete files older than $(docv).")
+
+let max_bytes =
+  Arg.(value & opt (some (Cli.nonneg_int "--max-bytes")) None
+       & info [ "max-bytes" ] ~docv:"BYTES"
+           ~doc:"Delete oldest files first until the directory fits.")
+
+let sub name doc term = Cmd.v (Cmd.info name ~doc) term
+
+let cmd =
+  Cmd.group
+    (Cmd.info "janus_pgo" ~doc:"The persistent profile store and PGO loop")
+    [
+      sub "collect" "Profile one run and merge it into the store"
+        Term.(const collect $ bench $ store $ scale $ source $ fuel);
+      sub "show" "Print a binary's merged profile"
+        Term.(const show $ bench $ store);
+      sub "iterate" "Run, collect, merge and re-schedule until stable"
+        Term.(const iterate $ bench $ store $ rounds $ threshold $ fleet
+              $ adapt);
+      Cmd.group (Cmd.info "store" ~doc:"Maintain a store directory")
+        [ sub "prune" "Bound a store directory, oldest files first"
+            Term.(const prune $ dir $ max_age $ max_bytes) ];
+    ]
+
+let () = exit (Cmd.eval' cmd)

@@ -143,26 +143,6 @@ let run input mode threads scale train_scale schedule_file prefetch fission
      | None -> ());
     result.Janus.exit_code
 
-(* int converters rejecting nonsense before it reaches the runtime *)
-let pos_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be positive, got %d" what n))
-    | None -> Error (`Msg (Printf.sprintf "%s must be an integer, got %S" what s))
-  in
-  Arg.conv (parse, Fmt.int)
-
-let nonneg_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some n ->
-      Error (`Msg (Printf.sprintf "%s must be non-negative, got %d" what n))
-    | None -> Error (`Msg (Printf.sprintf "%s must be an integer, got %S" what s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BIN")
 
 let mode =
@@ -170,13 +150,13 @@ let mode =
          ~doc:"native | dbm | janus")
 
 let threads =
-  Arg.(value & opt (pos_int "--threads") 8 & info [ "threads" ] ~docv:"N")
+  Arg.(value & opt (Cli.pos_int "--threads") 8 & info [ "threads" ] ~docv:"N")
 
 let scale =
-  Arg.(value & opt (nonneg_int "--scale") 10 & info [ "scale" ] ~docv:"N")
+  Arg.(value & opt (Cli.nonneg_int "--scale") 10 & info [ "scale" ] ~docv:"N")
 
 let train_scale =
-  Arg.(value & opt (nonneg_int "--train-scale") 4
+  Arg.(value & opt (Cli.nonneg_int "--train-scale") 4
        & info [ "train-scale" ] ~docv:"N")
 
 let schedule_file =
@@ -204,7 +184,7 @@ let model_cache =
                  to native runs too, for a fair baseline).")
 
 let fuel =
-  Arg.(value & opt (pos_int "--fuel") 400_000_000
+  Arg.(value & opt (Cli.pos_int "--fuel") 400_000_000
        & info [ "fuel" ] ~docv:"N"
            ~doc:"Instruction budget; exhausting it exits 3 with a diagnostic.")
 

@@ -1,9 +1,10 @@
 (* janus_served: the long-running schedule service and its client.
 
    Subcommands:
-     serve    --socket PATH [--store-dir DIR] [--jobs N]
+     serve    --socket PATH [--store-dir DIR] [--profile-dir DIR] [--jobs N]
      analyse  --socket PATH --bench NAME
      schedule --socket PATH --bench NAME [--out FILE]
+     upload   --socket PATH --file FILE.jprof
      metrics  --socket PATH
      stop     --socket PATH
 
@@ -13,94 +14,36 @@
    subcommands compile a suite benchmark deterministically and send it,
    printing cache-hit= so scripts can assert warm answers.
 
-   Exit codes: 0 success, 2 usage error, 3 runtime failure. *)
+   Exit codes: 0 success, 124 usage error (cmdliner), 3 runtime
+   failure. *)
 
+open Cmdliner
 module Served = Janus_served_lib.Served
 module Suite = Janus_suite.Suite
 module Pipeline = Janus_core.Pipeline
 module Pool = Janus_pool.Pool
-module Obs = Janus_obs.Obs
 
-let usage () =
-  Fmt.epr
-    "usage: janus_served serve --socket PATH [--store-dir DIR] \
-     [--profile-dir DIR] [--jobs N]@.\
-    \       janus_served analyse --socket PATH --bench NAME@.\
-    \       janus_served schedule --socket PATH --bench NAME [--out FILE]@.\
-    \       janus_served upload --socket PATH --file FILE.jprof@.\
-    \       janus_served metrics --socket PATH@.\
-    \       janus_served stop --socket PATH@.";
-  exit 2
+let exit_runtime = 3
 
-(* every valued flag shares one guard: a flag with no value — last
-   argument included — is a usage error, never a silent default *)
-let missing_value flag =
-  Fmt.epr "janus_served: %s expects a value@." flag;
-  exit 2
+let die fmt =
+  Fmt.kstr (fun s -> Fmt.epr "janus_served: %s@." s; exit_runtime) fmt
 
-let parse_opts args =
-  let opts = Hashtbl.create 8 in
-  let valued =
-    [ "--socket"; "--store-dir"; "--profile-dir"; "--jobs"; "--bench";
-      "--out"; "--file" ]
-  in
-  let rec go = function
-    | [] -> ()
-    | flag :: rest when List.mem flag valued -> (
-        match rest with
-        | v :: rest when not (String.length v > 2 && String.sub v 0 2 = "--")
-          ->
-          Hashtbl.replace opts flag v;
-          go rest
-        | _ -> missing_value flag)
-    | arg :: _ ->
-      Fmt.epr "janus_served: unknown argument %S@." arg;
-      exit 2
-  in
-  go args;
-  opts
-
-let required opts flag =
-  match Hashtbl.find_opt opts flag with
-  | Some v -> v
-  | None ->
-    Fmt.epr "janus_served: %s is required@." flag;
-    exit 2
-
-let jobs_of opts =
-  match Hashtbl.find_opt opts "--jobs" with
-  | None -> 1
-  | Some n -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> n
-      | _ ->
-        Fmt.epr "janus_served: --jobs expects a positive integer, got %S@." n;
-        exit 2)
-
-let bench_of opts =
-  let name = required opts "--bench" in
-  match Suite.find name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "janus_served: unknown benchmark %S@." name;
-    exit 2
+(* a [Failure] from the library is a runtime failure, not a crash *)
+let guard f = try f () with Failure e -> Fmt.epr "%s@." e; exit_runtime
 
 let with_connection socket f =
   match Served.connect ~socket with
   | exception Unix.Unix_error (e, _, _) ->
-    Fmt.epr "janus_served: cannot connect to %s: %s@." socket
-      (Unix.error_message e);
-    exit 3
-  | c -> Fun.protect ~finally:(fun () -> Served.disconnect c) (fun () -> f c)
+    die "cannot connect to %s: %s" socket (Unix.error_message e)
+  | c ->
+    Fun.protect ~finally:(fun () -> Served.disconnect c) (fun () -> f c; 0)
 
-let cmd_serve opts =
-  let socket = required opts "--socket" in
+let serve socket store_dir profile_dir jobs =
+  guard @@ fun () ->
   (* a client that hangs up mid-reply must cost its own connection (an
      EPIPE, counted in served.errors), not the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let store = Pipeline.store ?dir:(Hashtbl.find_opt opts "--store-dir") () in
-  let profile_dir = Hashtbl.find_opt opts "--profile-dir" in
-  let jobs = jobs_of opts in
+  let store = Pipeline.store ?dir:store_dir () in
   let serve pool =
     let server = Served.create_server ~store ?pool ?profile_dir ~socket () in
     Fmt.pr "janus_served: listening on %s (jobs=%d, store=%s, profiles=%s)@."
@@ -111,18 +54,19 @@ let cmd_serve opts =
     Fmt.pr "janus_served: shut down@."
   in
   if jobs > 1 then Pool.with_pool ~jobs (fun p -> serve (Some p))
-  else serve None
+  else serve None;
+  0
 
-let cmd_analyse opts =
-  let b = bench_of opts in
-  with_connection (required opts "--socket") (fun c ->
+let analyse socket (b : Suite.benchmark) =
+  guard @@ fun () ->
+  with_connection socket (fun c ->
       let r = Served.analyse c (Suite.compile b) in
       Fmt.pr "bench=%s functions=%d loops=%d cache-hit=%b@." b.Suite.name
         r.Served.a_functions r.Served.a_loops r.Served.a_cache_hit)
 
-let cmd_schedule opts =
-  let b = bench_of opts in
-  with_connection (required opts "--socket") (fun c ->
+let schedule socket (b : Suite.benchmark) out =
+  guard @@ fun () ->
+  with_connection socket (fun c ->
       let r =
         Served.schedule c ~train_input:(Suite.train_input b) (Suite.compile b)
       in
@@ -134,50 +78,85 @@ let cmd_schedule opts =
         (List.length r.Served.s_demoted)
         r.Served.s_findings r.Served.s_cache_hit
         (if r.Served.s_generation = "" then "-" else r.Served.s_generation);
-      match Hashtbl.find_opt opts "--out" with
-      | None -> ()
-      | Some path ->
-        let oc = open_out_bin path in
-        output_bytes oc r.Served.s_schedule;
-        close_out oc)
+      Option.iter
+        (fun path ->
+           Out_channel.with_open_bin path (fun oc ->
+               Out_channel.output_bytes oc r.Served.s_schedule))
+        out)
 
-let cmd_upload opts =
-  let file = required opts "--file" in
-  let payload =
-    match
-      In_channel.with_open_bin file (fun ic ->
-          Bytes.of_string (In_channel.input_all ic))
-    with
-    | b -> b
-    | exception Sys_error e ->
-      Fmt.epr "janus_served: cannot read %s: %s@." file e;
-      exit 3
-  in
-  with_connection (required opts "--socket") (fun c ->
-      let r = Served.upload c payload in
-      Fmt.pr "uploaded=%s image=%s runs=%d total-runs=%d@." file
-        r.Served.u_image r.Served.u_runs r.Served.u_total_runs)
+let upload socket file =
+  guard @@ fun () ->
+  match
+    In_channel.with_open_bin file (fun ic ->
+        Bytes.of_string (In_channel.input_all ic))
+  with
+  | exception Sys_error e -> die "cannot read %s: %s" file e
+  | payload ->
+    with_connection socket (fun c ->
+        let r = Served.upload c payload in
+        Fmt.pr "uploaded=%s image=%s runs=%d total-runs=%d@." file
+          r.Served.u_image r.Served.u_runs r.Served.u_total_runs)
 
-let cmd_metrics opts =
-  with_connection (required opts "--socket") (fun c ->
-      List.iter
-        (fun (name, v) -> Fmt.pr "%s %d@." name v)
-        (Served.metrics c))
+let metrics socket =
+  guard @@ fun () ->
+  with_connection socket (fun c ->
+      List.iter (fun (name, v) -> Fmt.pr "%s %d@." name v) (Served.metrics c))
 
-let cmd_stop opts =
-  with_connection (required opts "--socket") (fun c -> Served.shutdown c)
+let stop socket =
+  guard @@ fun () -> with_connection socket Served.shutdown
 
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: cmd :: rest -> (
-      let opts = parse_opts rest in
-      let run f = try f opts with Failure e -> Fmt.epr "%s@." e; exit 3 in
-      match cmd with
-      | "serve" -> run cmd_serve
-      | "analyse" -> run cmd_analyse
-      | "schedule" -> run cmd_schedule
-      | "upload" -> run cmd_upload
-      | "metrics" -> run cmd_metrics
-      | "stop" -> run cmd_stop
-      | _ -> usage ())
-  | _ -> usage ()
+(* ---- arguments ---- *)
+
+let socket =
+  Arg.(required & opt (some string) None
+       & info [ "socket" ] ~docv:"PATH" ~doc:"The daemon's unix socket.")
+
+let bench =
+  Arg.(required & opt (some Cli.bench) None
+       & info [ "bench" ] ~docv:"NAME"
+           ~doc:"Suite benchmark to compile and send.")
+
+let store_dir =
+  Arg.(value & opt (some string) None
+       & info [ "store-dir" ] ~docv:"DIR"
+           ~doc:"Persist the artifact store under $(docv), so a restarted\n\
+                 daemon answers previously-seen binaries warm.")
+
+let profile_dir =
+  Arg.(value & opt (some string) None
+       & info [ "profile-dir" ] ~docv:"DIR"
+           ~doc:"Accept .jprof uploads into the profile store at $(docv)\n\
+                 and schedule from the merged evidence.")
+
+let jobs =
+  Arg.(value & opt (Cli.pos_int "--jobs") 1
+       & info [ "jobs" ] ~docv:"N" ~doc:"Analyse on $(docv) domains.")
+
+let out =
+  Arg.(value & opt (some string) None
+       & info [ "out" ] ~docv:"FILE" ~doc:"Write the schedule bytes to $(docv).")
+
+let file =
+  Arg.(required & opt (some string) None
+       & info [ "file" ] ~docv:"FILE.jprof" ~doc:"The profile to upload.")
+
+let sub name doc term = Cmd.v (Cmd.info name ~doc) term
+
+let cmd =
+  Cmd.group
+    (Cmd.info "janus_served" ~doc:"The schedule daemon and its client")
+    [
+      sub "serve" "Run the daemon until a stop request"
+        Term.(const serve $ socket $ store_dir $ profile_dir $ jobs);
+      sub "analyse" "Ask for a benchmark's analysis"
+        Term.(const analyse $ socket $ bench);
+      sub "schedule" "Ask for a benchmark's verified schedule"
+        Term.(const schedule $ socket $ bench $ out);
+      sub "upload" "Ship a .jprof profile to the daemon"
+        Term.(const upload $ socket $ file);
+      sub "metrics" "Print the daemon's counters"
+        Term.(const metrics $ socket);
+      sub "stop" "Shut the daemon down" Term.(const stop $ socket);
+    ]
+
+let () = exit (Cmd.eval' cmd)

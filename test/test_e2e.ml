@@ -202,7 +202,7 @@ let test_schedule_size_small () =
   in
   (* toy programs have few instructions per loop, so the ratio is far
      above Fig. 10's 3.7% average; suite-sized binaries are measured by
-     the fig10 bench *)
+     janus_eval fig10 *)
   Alcotest.(check bool)
     (Printf.sprintf "schedule/executable = %.3f < 0.7" ratio)
     true (ratio < 0.7);

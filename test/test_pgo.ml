@@ -201,8 +201,7 @@ let prop_of_bytes_only_bad_profile =
 (* A corrupt store entry is counted, treated exactly as absent, and
    overwritten (repaired) by the next save. *)
 let test_store_corruption_is_absence () =
-  let dir = Filename.temp_file "janus-pgo" "" in
-  Sys.remove dir;
+  Test_pipeline.with_temp_dir @@ fun dir ->
   let store = Pgo.Store.open_ dir in
   let p = sample_profile () in
   ignore (Pgo.Store.save store p);
@@ -267,8 +266,7 @@ let age_file path seconds_ago =
   Unix.utimes path t t
 
 let test_prune_age_and_liveness () =
-  let dir = Filename.temp_file "janus-pgo" "" in
-  Sys.remove dir;
+  Test_pipeline.with_temp_dir @@ fun dir ->
   let writer = Pgo.Store.open_ dir in
   ignore (Pgo.Store.save writer (Pgo.add (Pgo.empty "aaaa1111") (Pgo.make_run ~source:Pgo.Fleet ~input:"1" ~total_insns:1 [])));
   ignore (Pgo.Store.save writer (Pgo.add (Pgo.empty "bbbb2222") (Pgo.make_run ~source:Pgo.Fleet ~input:"2" ~total_insns:2 [])));
@@ -285,9 +283,7 @@ let test_prune_age_and_liveness () =
     (Sys.file_exists (Filename.concat dir "aaaa1111.jprof"))
 
 let test_prune_bytes_oldest_first () =
-  let dir = Filename.temp_file "janus-pgo" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  Test_pipeline.with_temp_dir @@ fun dir ->
   let mk name age =
     let path = Filename.concat dir name in
     Out_channel.with_open_bin path (fun oc ->
@@ -463,8 +459,7 @@ let test_iterate_converges () =
 (* Daemon: upload, evidence-fed answers, restart *)
 
 let test_daemon_upload_and_restart () =
-  let profile_dir = Filename.temp_file "janus-pgo" "" in
-  Sys.remove profile_dir;
+  Test_pipeline.with_temp_dir @@ fun profile_dir ->
   let img =
     Pipeline.compile ~store:(Pipeline.store ~enabled:false ()) alias_kernel
   in

@@ -122,24 +122,25 @@ let test_publish_metrics_counters () =
 
 (* ---- the persistent layer ---- *)
 
-let temp_counter = ref 0
-
-let fresh_dir () =
-  incr temp_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "janus-store-test-%d-%d" (Unix.getpid ()) !temp_counter)
+(* [f] on a fresh directory, removed with its contents afterwards *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "janus-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
   in
-  if Sys.file_exists d then
-    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-  d
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 let schedule_bytes (p : Janus.prepared) =
   Bytes.to_string (Janus_schedule.Schedule.to_bytes p.Janus.p_schedule)
 
 let test_persistent_round_trip () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   (* cold process: compute and publish to disk *)
   let s1 = Pipeline.store ~dir () in
   let img = Pipeline.compile ~store:s1 kernel in
@@ -167,7 +168,7 @@ let test_persistent_round_trip () =
     (Bytes.to_string (Janus_vx.Image.to_bytes img2))
 
 let test_corrupt_entry_is_miss () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   let s1 = Pipeline.store ~dir () in
   let img = Pipeline.compile ~store:s1 kernel in
   let p1 = Janus.prepare ~store:s1 img in
@@ -212,7 +213,7 @@ let test_corrupt_entry_is_miss () =
     (Pipeline.cache_stats s3).Pipeline.misses
 
 let test_concurrent_writers_no_torn_entry () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   (* two domains race whole pipelines over separate stores sharing one
      directory: atomic temp+rename publication means a reader can never
      observe a half-written entry, whoever wins each rename *)
@@ -232,7 +233,7 @@ let test_concurrent_writers_no_torn_entry () =
   Alcotest.(check string) "surviving entries byte-identical" b1 b3
 
 let test_disk_counters_published () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   let s1 = Pipeline.store ~dir () in
   ignore (Janus.prepare ~store:s1 (Pipeline.compile ~store:s1 kernel));
   let s2 = Pipeline.store ~dir () in
@@ -255,20 +256,6 @@ let test_disk_counters_published () =
     (c "pipeline.cache.hits")
 
 (* ---- the checked-file envelope ---- *)
-
-(* [f] on a fresh directory, removed with its contents afterwards *)
-let with_temp_dir f =
-  let dir = Filename.temp_file "janus-test" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 let read_entry path = In_channel.with_open_bin path In_channel.input_all
 
@@ -427,7 +414,7 @@ let verify_cases () =
      Test_verify.with_dangling_update_bound p.Janus.p_schedule) ]
 
 let test_verified_equals_lint () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   let cases = verify_cases () in
   let n = List.length cases in
   let check what store =
@@ -497,7 +484,7 @@ let test_verify_version_pins_verdicts () =
     ("1", "a93394291ae73619a77aa08b92c9780c") (Verify.version, digest)
 
 let test_corrupt_verified_entry_recomputed () =
-  let dir = fresh_dir () in
+  with_temp_dir @@ fun dir ->
   let p = Lazy.force Test_verify.prepared in
   let img = p.Janus.p_image and sched = p.Janus.p_schedule in
   let cold =

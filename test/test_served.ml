@@ -107,11 +107,7 @@ let test_second_answer_is_warm () =
             (count "pipeline.cache.hits" > 0)))
 
 let test_restart_answers_from_disk () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "janus-served-store-%d" (Unix.getpid ()))
-  in
+  Test_pipeline.with_temp_dir @@ fun dir ->
   let img = compile_kernel () in
   let ask socket =
     let c = Served.connect ~socket in

@@ -26,9 +26,9 @@ grep -q "option '-o' needs an argument" noval_jcc.out ||
   fail "jcc missing -o value not diagnosed"
 grep -q "option '--store-dir' needs an argument" noval_eval.out ||
   fail "janus_eval missing --store-dir value not diagnosed"
-grep -q -- "--socket expects a value" noval_served.out ||
+grep -q "option '--socket' needs an argument" noval_served.out ||
   fail "janus_served missing --socket value not diagnosed"
-grep -q -- "--bench expects a value" noval_pgo.out ||
+grep -q "option '--bench' needs an argument" noval_pgo.out ||
   fail "janus_pgo missing --bench value not diagnosed"
 
 for f in fuel_fail.out badargs.out badexp.out noval_run.out noval_prof.out \
