@@ -27,33 +27,12 @@ type slot = {
   s_events : Rule.t list;
 }
 
-(* A compiled execution step: one slot, or a fused superinstruction
-   covering the two hottest adjacent pairs VX64 code exhibits (compare +
-   conditional branch; induction-variable update + bound compare;
-   register move feeding an ALU op). Fusion is sound only when nothing
-   can observe the machine between the two halves: both slots must be
-   event-free and every operand a register or immediate — no memory
-   access means no observer callback, no STM buffering, no cache-model
-   touch and no fault, and none of these opcodes read [rip]. The fused
-   step charges the sum of the halves' precomputed costs and bumps
-   icount by 2, so cycles and instruction counts are bit-identical with
-   fusion on or off. *)
-type step =
-  | Step of slot
-  | Cmp_jcc of { addr : int; a : Operand.t; b : Operand.t; cond : Cond.t;
-                 target : int; cost : int }
-  | Alu_cmp of { addr : int; op : Insn.alu; d : Operand.t; s : Operand.t;
-                 a : Operand.t; b : Operand.t; cost : int }
-  | Mov_alu of { addr : int; d1 : Operand.t; s1 : Operand.t; op : Insn.alu;
-                 d2 : Operand.t; s2 : Operand.t; cost : int }
-
 type fragment = {
   f_start : int;
   f_slots : slot array;
-  f_steps : step array;   (* what exec_fragment actually runs *)
   f_ends_indirect : bool; (* last slot is an indirect jmp/call or a ret *)
   mutable f_execs : int;
-  mutable f_is_trace : bool;
+  f_is_trace : bool;
   mutable f_linked : bool;
 }
 
@@ -91,7 +70,6 @@ type t = {
   schedule : Schedule.t option;
   stats : stats;
   promote_threshold : int;    (* fragment executions before trace promotion *)
-  fuse : bool;                (* superinstruction fusion in translated code *)
   mutable obs : Obs.t option;
   mutable on_event : t -> thread_kind -> Machine.t -> Rule.t -> action;
 }
@@ -99,15 +77,15 @@ type t = {
 (** A per-thread code cache. *)
 type cache = {
   kind : thread_kind;
-  frags : (int, fragment) Hashtbl.t;
+  frags : fragment Machine.Int_table.t;
   mutable last_indirect : bool;   (* previous fragment ended indirectly *)
-  mutable skip : (int -> bool) option;
+  skip : (int -> bool) option;
       (* loop fission: addresses this cache's fragments elide (the other
          sub-loops' instructions); control flow is never elided *)
 }
 
 let create ?schedule ?obs ?(promote_threshold = Cost.trace_head_threshold)
-    ?(fuse = true) prog =
+    prog =
   let rules = Hashtbl.create 64 in
   (match schedule with
    | Some s ->
@@ -119,19 +97,18 @@ let create ?schedule ?obs ?(promote_threshold = Cost.trace_head_threshold)
     schedule;
     stats = new_stats ();
     promote_threshold;
-    fuse;
     obs;
     on_event = (fun _ _ _ _ -> Continue);
   }
 
 let new_cache ?skip kind =
-  { kind; frags = Hashtbl.create 256; last_indirect = false; skip }
+  { kind; frags = Machine.Int_table.create 256; last_indirect = false; skip }
 
 (* trace-event thread ids: 0 = main, w+1 = worker w *)
 let tid_of = function Main -> 0 | Worker w -> w + 1
 
 let flush_cache ?(now = 0) t (c : cache) =
-  Hashtbl.reset c.frags;
+  Machine.Int_table.reset c.frags;
   t.stats.cache_flushes <- t.stats.cache_flushes + 1;
   match t.obs with
   | Some o when Obs.tracing o ->
@@ -240,70 +217,20 @@ let prefetch_mem insn dist =
   | m :: _ -> Some { m with Operand.disp = m.Operand.disp + dist }
   | [] -> None
 
+let slot insn addr len events =
+  { s_insn = insn; s_addr = addr; s_len = len; s_cost = Cost.of_insn insn;
+    s_events = events }
+
 (* zero-length slot holding an inserted prefetch hint *)
 let prefetch_slots (rs : Rule.t list) insn addr =
   List.filter_map
     (fun (r : Rule.t) ->
        if r.Rule.id = Rule.MEM_PREFETCH then
-         match prefetch_mem insn (Int64.to_int r.Rule.data) with
-         | Some pm ->
-           let pi = Insn.Prefetch pm in
-           Some { s_insn = pi; s_addr = addr; s_len = 0;
-                  s_cost = Cost.of_insn pi; s_events = [] }
-         | None -> None
+         Option.map
+           (fun pm -> slot (Insn.Prefetch pm) addr 0 [])
+           (prefetch_mem insn (Int64.to_int r.Rule.data))
        else None)
     rs
-
-(* ------------------------------------------------------------------ *)
-(* Superinstruction fusion                                             *)
-(* ------------------------------------------------------------------ *)
-
-let regimm = function
-  | Operand.Reg _ | Operand.Imm _ -> true
-  | Operand.Mem _ -> false
-
-let is_reg = function Operand.Reg _ -> true | _ -> false
-
-(* Compile a fragment's slots into execution steps, fusing eligible
-   adjacent pairs when [fuse] is on. Eligibility (see the [step]
-   comment): both slots event-free, destinations registers, every
-   operand register/immediate. With [fuse] off every slot becomes its
-   own [Step], which is the pre-fusion executor exactly. *)
-let fuse_steps fuse (slots : slot array) =
-  let n = Array.length slots in
-  let steps = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let x = slots.(!i) in
-    let fused =
-      if (not fuse) || x.s_events <> [] || !i + 1 >= n then None
-      else begin
-        let y = slots.(!i + 1) in
-        if y.s_events <> [] then None
-        else
-          let cost = x.s_cost + y.s_cost in
-          match x.s_insn, y.s_insn with
-          | Insn.Cmp (a, b), Insn.Jcc (cond, target)
-            when regimm a && regimm b ->
-            Some (Cmp_jcc { addr = x.s_addr; a; b; cond; target; cost })
-          | Insn.Alu (op, d, s), Insn.Cmp (a, b)
-            when is_reg d && regimm s && regimm a && regimm b ->
-            Some (Alu_cmp { addr = x.s_addr; op; d; s; a; b; cost })
-          | Insn.Mov (d1, s1), Insn.Alu (op, d2, s2)
-            when is_reg d1 && regimm s1 && is_reg d2 && regimm s2 ->
-            Some (Mov_alu { addr = x.s_addr; d1; s1; op; d2; s2; cost })
-          | _ -> None
-      end
-    in
-    match fused with
-    | Some st ->
-      steps := st :: !steps;
-      i := !i + 2
-    | None ->
-      steps := Step x :: !steps;
-      incr i
-  done;
-  Array.of_list (List.rev !steps)
 
 (* ------------------------------------------------------------------ *)
 (* Translation                                                         *)
@@ -326,138 +253,92 @@ let elided (cache : cache) a insn =
   | Some f -> f a && not (Insn.is_control_flow insn)
   | None -> false
 
-(* translate one basic block starting at [addr] into a fragment,
-   charging translation cost to [ctx] *)
-let translate t (cache : cache) ctx addr =
-  let slots = ref [] in
-  let count = ref 0 in
-  let rec walk a =
+(* Walk the code at [start] into [cache]'s slots: transformation rules
+   rewrite each instruction, event rules attach to it, the fission
+   filter drops it and prefetch hints go before it. A basic block ends
+   at control flow or [sys_exit]. A trace ([trace]) runs on past
+   [sys_exit] and through each event-free direct jump, eliding the jump
+   (DynamoRIO's trace optimisation), across at most 8 further blocks,
+   each entered once. Returns the slots and the number of instructions
+   walked, elided ones included. *)
+let walk t (cache : cache) ~trace start =
+  let slots = ref [] and count = ref 0 and seen = ref [] in
+  let push s = slots := s :: !slots in
+  let rec block a blocks =
+    if blocks <= 8 && not (List.mem a !seen) then begin
+      seen := a :: !seen;
+      insns a blocks
+    end
+  and insns a blocks =
     match Program.fetch t.prog a with
     | None -> ()
-    | Some (insn, len) ->
+    | Some (insn, len) -> (
       incr count;
       let rs = List.filter (applies cache.kind) (rules_at t a) in
       let events = List.filter (fun r -> not (is_transform r)) rs in
-      let insn' =
-        List.fold_left
-          (fun i r -> if is_transform r then apply_transform r i else i)
-          insn rs
-      in
-      if elided cache a insn then begin
-        (* drop the slot outright — control flow is never elided, so
-           fragment exits are unaffected and the elision really is free;
-           an attached event keeps a 1-cycle Nop slot as its anchor *)
-        if events <> [] then
-          slots := { s_insn = Insn.Nop; s_addr = a; s_len = len;
-                     s_cost = Cost.of_insn Insn.Nop; s_events = events }
-                   :: !slots
-      end
-      else begin
-        List.iter (fun s -> slots := s :: !slots) (prefetch_slots rs insn' a);
-        slots := { s_insn = insn'; s_addr = a; s_len = len;
-                   s_cost = Cost.of_insn insn'; s_events = events }
-                 :: !slots
-      end;
-      if not (Insn.is_control_flow insn)
-         && insn <> Insn.Syscall Insn.sys_exit
-      then walk (a + len)
-  in
-  walk addr;
-  let slots = Array.of_list (List.rev !slots) in
-  let cost = Cost.fragment_setup + (Cost.translate_per_insn * !count) in
-  let t0 = ctx.Machine.cycles in
-  ctx.Machine.cycles <- ctx.Machine.cycles + cost;
-  t.stats.translate_cycles <- t.stats.translate_cycles + cost;
-  if cache.kind = Main then
-    t.stats.translate_cycles_main <- t.stats.translate_cycles_main + cost;
-  t.stats.translated_insns <- t.stats.translated_insns + !count;
-  t.stats.fragments_built <- t.stats.fragments_built + 1;
-  (match t.obs with
-   | Some o when Obs.tracing o ->
-     let tid = tid_of cache.kind in
-     Obs.emit o ~tid ~ts:t0 ~dur:cost
-       (Obs.Block_translated { addr; insns = !count; trace = false });
-     (match Program.plt_name t.prog addr with
-      | Some name -> Obs.emit o ~tid ~ts:t0 (Obs.Lib_resolved { name; addr })
-      | None -> ())
-   | _ -> ());
-  let frag =
-    { f_start = addr; f_slots = slots; f_steps = fuse_steps t.fuse slots;
-      f_ends_indirect = ends_indirect slots;
-      f_execs = 0; f_is_trace = false; f_linked = false }
-  in
-  Hashtbl.replace cache.frags addr frag;
-  frag
-
-(* trace promotion: extend a hot fragment across unconditional direct
-   jumps, eliding the jump instructions (DynamoRIO trace optimisation) *)
-let promote_trace t (cache : cache) ctx frag =
-  let slots = ref [] in
-  let seen = Hashtbl.create 8 in
-  let count = ref 0 in
-  let rec extend addr blocks =
-    if blocks > 8 || Hashtbl.mem seen addr then ()
-    else begin
-      Hashtbl.replace seen addr ();
-      let rec walk a =
-        match Program.fetch t.prog a with
-        | None -> ()
-        | Some (insn, len) ->
-          let rs = List.filter (applies cache.kind) (rules_at t a) in
-          let events = List.filter (fun r -> not (is_transform r)) rs in
+      match insn with
+      | Insn.Jmp (Insn.Direct target) when trace && events = [] ->
+        block target (blocks + 1)
+      | _ ->
+        if not (elided cache a insn) then begin
           let insn' =
             List.fold_left
               (fun i r -> if is_transform r then apply_transform r i else i)
               insn rs
           in
-          (match insn with
-           | Insn.Jmp (Insn.Direct target) when events = [] ->
-             (* elide the jump, continue the trace *)
-             incr count;
-             extend target (blocks + 1)
-           | _ when elided cache a insn ->
-             incr count;
-             if events <> [] then
-               slots := { s_insn = Insn.Nop; s_addr = a; s_len = len;
-                          s_cost = Cost.of_insn Insn.Nop; s_events = events }
-                        :: !slots;
-             if not (Insn.is_control_flow insn) then walk (a + len)
-           | _ ->
-             incr count;
-             List.iter (fun s -> slots := s :: !slots)
-               (prefetch_slots rs insn' a);
-             slots :=
-               { s_insn = insn'; s_addr = a; s_len = len;
-                 s_cost = Cost.of_insn insn'; s_events = events }
-               :: !slots;
-             if not (Insn.is_control_flow insn) then walk (a + len))
-      in
-      walk addr
-    end
+          List.iter push (prefetch_slots rs insn' a);
+          push (slot insn' a len events)
+        end
+        else if events <> [] then
+          (* an elided instruction is dropped outright — control flow is
+             never elided, so fragment exits are unaffected and the
+             elision really is free; attached events keep a 1-cycle Nop
+             slot as their anchor *)
+          push (slot Insn.Nop a len events);
+        if not (Insn.is_control_flow insn)
+           && (trace || insn <> Insn.Syscall Insn.sys_exit)
+        then insns (a + len) blocks)
   in
-  extend frag.f_start 0;
-  let cost = Cost.fragment_setup + (Cost.translate_per_insn * !count) in
+  block start 0;
+  (Array.of_list (List.rev !slots), !count)
+
+(* Build the fragment at [addr] (a trace if [trace]) into [cache],
+   charging its translation to [ctx]. A basic block counts in
+   [translated_insns] and [fragments_built] and announces a resolved
+   library entry; a trace counts in [traces_built], keeps the [execs]
+   of the fragment it replaces and starts linked. *)
+let build t (cache : cache) ctx ~trace ~execs addr =
+  let slots, count = walk t cache ~trace addr in
+  let cost = Cost.fragment_setup + (Cost.translate_per_insn * count) in
   let t0 = ctx.Machine.cycles in
-  ctx.Machine.cycles <- ctx.Machine.cycles + cost;
-  t.stats.translate_cycles <- t.stats.translate_cycles + cost;
+  ctx.Machine.cycles <- t0 + cost;
+  let s = t.stats in
+  s.translate_cycles <- s.translate_cycles + cost;
   if cache.kind = Main then
-    t.stats.translate_cycles_main <- t.stats.translate_cycles_main + cost;
-  t.stats.traces_built <- t.stats.traces_built + 1;
+    s.translate_cycles_main <- s.translate_cycles_main + cost;
+  if trace then s.traces_built <- s.traces_built + 1
+  else begin
+    s.translated_insns <- s.translated_insns + count;
+    s.fragments_built <- s.fragments_built + 1
+  end;
   (match t.obs with
    | Some o when Obs.tracing o ->
-     Obs.emit o ~tid:(tid_of cache.kind) ~ts:t0 ~dur:cost
-       (Obs.Block_translated
-          { addr = frag.f_start; insns = !count; trace = true })
+     let tid = tid_of cache.kind in
+     Obs.emit o ~tid ~ts:t0 ~dur:cost
+       (Obs.Block_translated { addr; insns = count; trace });
+     (match Program.plt_name t.prog addr with
+      | Some name when not trace ->
+        Obs.emit o ~tid ~ts:t0 (Obs.Lib_resolved { name; addr })
+      | _ -> ())
    | _ -> ());
-  let nf =
-    let slots = Array.of_list (List.rev !slots) in
-    { f_start = frag.f_start; f_slots = slots;
-      f_steps = fuse_steps t.fuse slots;
-      f_ends_indirect = ends_indirect slots;
-      f_execs = frag.f_execs; f_is_trace = true; f_linked = true }
+  let frag =
+    { f_start = addr; f_slots = slots; f_ends_indirect = ends_indirect slots;
+      f_execs = execs; f_is_trace = trace; f_linked = trace }
   in
-  Hashtbl.replace cache.frags frag.f_start nf;
-  nf
+  Machine.Int_table.replace cache.frags addr frag;
+  frag
+
+let translate t cache ctx addr = build t cache ctx ~trace:false ~execs:0 addr
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -488,74 +369,46 @@ let rec fire t (cache : cache) ctx slot = function
       | (Divert _ | Stop_thread) as a -> a
     end
 
-let exec_fragment t (cache : cache) ctx frag =
-  frag.f_execs <- frag.f_execs + 1;
-  let steps = frag.f_steps in
-  let n = Array.length steps in
-  let nslots = Array.length frag.f_slots in
-  let rec go i =
-    if i >= n then begin
-      (* fell off the end: block ended by running into a leader *)
-      let last = frag.f_slots.(nslots - 1) in
-      ctx.Machine.rip <- last.s_addr + last.s_len;
+(* Run [slots] from index [i]. Top-level, so a dispatch allocates no
+   closure. *)
+let rec exec_slots t cache ctx slots i =
+  if i >= Array.length slots then begin
+    (* fell off the end: block ended by running into a leader *)
+    let last = Array.unsafe_get slots (Array.length slots - 1) in
+    ctx.Machine.rip <- last.s_addr + last.s_len;
+    Next
+  end
+  else begin
+    let slot = Array.unsafe_get slots i in
+    ctx.Machine.rip <- slot.s_addr;
+    match
+      if slot.s_events == [] then Continue
+      else fire t cache ctx slot slot.s_events
+    with
+    | Divert a ->
+      ctx.Machine.rip <- a;
       Next
-    end
-    else begin
-      match Array.unsafe_get steps i with
-      | Step slot -> begin
-        ctx.Machine.rip <- slot.s_addr;
+    | Stop_thread -> Yielded
+    | Continue -> begin
         match
-          if slot.s_events == [] then Continue
-          else fire t cache ctx slot slot.s_events
+          Semantics.exec_costed ctx slot.s_insn ~len:slot.s_len
+            ~cost:slot.s_cost
         with
-        | Divert a ->
-          ctx.Machine.rip <- a;
-          Next
-        | Stop_thread -> Yielded
-        | Continue -> begin
-            match
-              Semantics.exec_costed ctx slot.s_insn ~len:slot.s_len
-                ~cost:slot.s_cost
-            with
-            | Semantics.Fall -> go (i + 1)
-            | Semantics.Goto a ->
-              ctx.Machine.rip <- a;
-              Next
-            | Semantics.Stop -> Halted
-          end
+        | Semantics.Fall -> exec_slots t cache ctx slots (i + 1)
+        | Semantics.Jump -> Next
+        | Semantics.Stop -> Halted
       end
-      (* fused superinstructions: event-free, register-only — nothing
-         between the two halves is architecturally observable, so one
-         rip store and a summed cycle charge are exact *)
-      | Cmp_jcc { addr; a; b; cond; target; cost } ->
-        ctx.Machine.rip <- addr;
-        ctx.Machine.cycles <- ctx.Machine.cycles + cost;
-        ctx.Machine.icount <- ctx.Machine.icount + 2;
-        if Semantics.cmp_jcc ctx a b cond then begin
-          ctx.Machine.rip <- target;
-          Next
-        end
-        else go (i + 1)
-      | Alu_cmp { addr; op; d; s; a; b; cost } ->
-        ctx.Machine.rip <- addr;
-        ctx.Machine.cycles <- ctx.Machine.cycles + cost;
-        ctx.Machine.icount <- ctx.Machine.icount + 2;
-        Semantics.alu_cmp ctx op d s a b;
-        go (i + 1)
-      | Mov_alu { addr; d1; s1; op; d2; s2; cost } ->
-        ctx.Machine.rip <- addr;
-        ctx.Machine.cycles <- ctx.Machine.cycles + cost;
-        ctx.Machine.icount <- ctx.Machine.icount + 2;
-        Semantics.mov_alu ctx d1 s1 op d2 s2;
-        go (i + 1)
-    end
-  in
-  if nslots = 0 then raise (Bad_pc frag.f_start) else go 0
+  end
+
+let exec_fragment t cache ctx frag =
+  frag.f_execs <- frag.f_execs + 1;
+  if Array.length frag.f_slots = 0 then raise (Bad_pc frag.f_start);
+  exec_slots t cache ctx frag.f_slots 0
 
 (* The fragment to run at [addr], charging the dispatch: translated on
    a miss, promoted to a trace once hot. *)
 let dispatch t (cache : cache) ctx addr =
-  match Hashtbl.find cache.frags addr with
+  match Machine.Int_table.find cache.frags addr with
   | f ->
     t.stats.dispatches <- t.stats.dispatches + 1;
     (* dispatch cost: indirect transitions always pay; direct ones pay
@@ -574,7 +427,7 @@ let dispatch t (cache : cache) ctx addr =
       end
     end;
     if (not f.f_is_trace) && f.f_execs >= t.promote_threshold then
-      promote_trace t cache ctx f
+      build t cache ctx ~trace:true ~execs:f.f_execs f.f_start
     else f
   | exception Not_found ->
     if Program.fetch t.prog addr = None then raise (Bad_pc addr);

@@ -28,34 +28,16 @@ type slot = {
   s_events : Rule.t list;    (** rules fired before executing it *)
 }
 
-(** A compiled execution step: one slot, or a fused superinstruction
-    covering a hot adjacent pair (compare + conditional branch,
-    induction-variable update + bound compare, register move + ALU op).
-    Pairs are fused only when both slots are event-free and every
-    operand is a register or immediate, so nothing can observe the
-    machine between the halves; the fused step charges the sum of the
-    halves' precomputed costs, keeping virtual cycles and instruction
-    counts bit-identical with fusion on or off. *)
-type step =
-  | Step of slot
-  | Cmp_jcc of { addr : int; a : Operand.t; b : Operand.t; cond : Cond.t;
-                 target : int; cost : int }
-  | Alu_cmp of { addr : int; op : Insn.alu; d : Operand.t; s : Operand.t;
-                 a : Operand.t; b : Operand.t; cost : int }
-  | Mov_alu of { addr : int; d1 : Operand.t; s1 : Operand.t; op : Insn.alu;
-                 d2 : Operand.t; s2 : Operand.t; cost : int }
-
 (** A code-cache fragment: one translated basic block (or trace). *)
 type fragment = {
   f_start : int;
-  f_slots : slot array;
-  f_steps : step array;      (** what the executor actually runs *)
+  f_slots : slot array;      (** what the executor runs, in order *)
   f_ends_indirect : bool;
       (** the last slot is an indirect jump or call, or a return, so
           the next dispatch pays the indirect cost (fixed at
           translation) *)
   mutable f_execs : int;
-  mutable f_is_trace : bool;
+  f_is_trace : bool;
   mutable f_linked : bool;
 }
 
@@ -75,8 +57,6 @@ type stats = {
   mutable cache_flushes : int;
 }
 
-val new_stats : unit -> stats
-
 (** What an event handler tells the executor to do. *)
 type action =
   | Continue        (** keep executing the slot *)
@@ -92,10 +72,6 @@ type t = {
       (** executions before a hot fragment is promoted to a trace
           (default {!Janus_vx.Cost.trace_head_threshold}; [1] promotes
           eagerly, [max_int] disables promotion) *)
-  fuse : bool;
-      (** fuse hot instruction pairs in translated fragments (always on
-          outside tests, which turn it off to prove it inert: outputs,
-          cycles and memory digests are bit-identical either way) *)
   mutable obs : Obs.t option;  (** tracing/metrics sink, off by default *)
   mutable on_event : t -> thread_kind -> Machine.t -> Rule.t -> action;
 }
@@ -103,9 +79,9 @@ type t = {
 (** A per-thread code cache. *)
 type cache = {
   kind : thread_kind;
-  frags : (int, fragment) Hashtbl.t;
+  frags : fragment Machine.Int_table.t;  (** keyed by [f_start] *)
   mutable last_indirect : bool;
-  mutable skip : (int -> bool) option;
+  skip : (int -> bool) option;
       (** loop fission: instruction addresses this cache's fragments
           elide (translated as zero-length no-ops, so a fissioned
           sub-loop executes only its own group). Control flow is never
@@ -118,22 +94,16 @@ type cache = {
     as an uninstrumented one. *)
 val create :
   ?schedule:Schedule.t -> ?obs:Obs.t -> ?promote_threshold:int ->
-  ?fuse:bool -> Program.t -> t
+  Program.t -> t
 
 (** [new_cache ?skip kind] makes an empty cache; [skip] installs a
     fission elision filter (see {!cache.skip}). *)
 val new_cache : ?skip:(int -> bool) -> thread_kind -> cache
 
-(** Trace-event thread id of a thread kind: 0 for {!Main}, [w + 1] for
-    [Worker w]. *)
-val tid_of : thread_kind -> int
-
 (** Discard every fragment (used when a failed bounds check forces the
     modified code to be reloaded, §II-E1). [now] timestamps the flush
     event when tracing. *)
 val flush_cache : ?now:int -> t -> cache -> unit
-
-val rules_at : t -> int -> Rule.t list
 
 (** Does this rule's effect apply to caches of this thread kind? *)
 val applies : thread_kind -> Rule.t -> bool
@@ -144,7 +114,8 @@ val apply_transform : Rule.t -> Insn.t -> Insn.t
 
 (** Translate the basic block at an address into [cache], applying
     transformation rules and attaching events; translation cost is
-    charged to [ctx]. *)
+    charged to [ctx]. Trace promotion during {!run} builds traces with
+    the same walk, continuing through event-free direct jumps. *)
 val translate : t -> cache -> Machine.t -> int -> fragment
 
 exception Bad_pc of int

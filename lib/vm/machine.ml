@@ -36,9 +36,11 @@ type txn = {
   checkpoint_brk : int;
 }
 
-(* Warm cache lines, keyed by line number. Eviction order lives in
-   [warm_fifo], so the table's iteration order is never observable. *)
-module Lines = Hashtbl.Make (struct
+(* Identity-hashed int-keyed table: the warm cache lines (keyed by line
+   number; eviction order lives in [warm_fifo], so iteration order is
+   never observable) and the DBM's fragment caches (keyed by address).
+   No polymorphic hash or compare per lookup. *)
+module Int_table = Hashtbl.Make (struct
     type t = int
     let equal = Int.equal
     let hash (l : int) = l
@@ -60,7 +62,7 @@ type t = {
   mutable observe : (rw -> addr:int -> bytes:int -> unit) option;
   mutable brk : int;           (* heap bump pointer *)
   mutable model_cache : bool;  (* charge Cost.cache_miss on cold lines *)
-  warm : unit Lines.t;            (* warm cache lines (line number) *)
+  warm : unit Int_table.t;        (* warm cache lines (line number) *)
   warm_fifo : int Queue.t;        (* insertion order, for eviction *)
 }
 
@@ -83,7 +85,7 @@ let create ?(out = Buffer.create 256) mem =
     observe = None;
     brk = Layout.heap_base;
     model_cache = false;
-    warm = Lines.create 256;
+    warm = Int_table.create 256;
     warm_fifo = Queue.create ();
   }
 
@@ -107,7 +109,7 @@ let fork parent =
     brk = parent.brk;
     (* each virtual core has a private cache: fresh (cold) warm set *)
     model_cache = parent.model_cache;
-    warm = Lines.create 256;
+    warm = Int_table.create 256;
     warm_fifo = Queue.create ();
   }
 
@@ -154,12 +156,12 @@ let end_txn ctx = ctx.txn <- None
 (** Mark the line containing [addr] warm (evicting FIFO at capacity). *)
 let warm_line ctx addr =
   let line = addr / Janus_vx.Cost.cache_line in
-  if not (Lines.mem ctx.warm line) then begin
-    Lines.replace ctx.warm line ();
+  if not (Int_table.mem ctx.warm line) then begin
+    Int_table.replace ctx.warm line ();
     Queue.push line ctx.warm_fifo;
     if Queue.length ctx.warm_fifo > Janus_vx.Cost.cache_lines then begin
       let victim = Queue.pop ctx.warm_fifo in
-      Lines.remove ctx.warm victim
+      Int_table.remove ctx.warm victim
     end
   end
 
@@ -168,7 +170,7 @@ let warm_line ctx addr =
 let touch_line ctx addr =
   if ctx.model_cache then begin
     let line = addr / Janus_vx.Cost.cache_line in
-    if not (Lines.mem ctx.warm line) then begin
+    if not (Int_table.mem ctx.warm line) then begin
       ctx.cycles <- ctx.cycles + Janus_vx.Cost.cache_miss;
       warm_line ctx addr
     end

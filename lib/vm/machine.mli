@@ -28,8 +28,9 @@ type txn = {
   checkpoint_brk : int;
 }
 
-(** Int-keyed table of warm cache lines. *)
-module Lines : Hashtbl.S with type key = int
+(** Identity-hashed int-keyed table, for the warm cache lines and the
+    DBM's fragment caches. *)
+module Int_table : Hashtbl.S with type key = int
 
 type t = {
   regs : Bytes.t;
@@ -52,7 +53,7 @@ type t = {
   mutable brk : int;           (** heap bump pointer *)
   mutable model_cache : bool;
       (** charge {!Cost.cache_miss} on cold-line accesses *)
-  warm : unit Lines.t;           (** warm cache lines (line numbers) *)
+  warm : unit Int_table.t;       (** warm cache lines (line numbers) *)
   warm_fifo : int Queue.t;       (** insertion order, for eviction *)
 }
 

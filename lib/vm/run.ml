@@ -84,8 +84,7 @@ let rec run_from prog ctx ~fuel =
           ~cost:(Array.unsafe_get text_cost toff)
       with
       | Semantics.Fall -> ctx.Machine.rip <- addr + len
-      | Semantics.Goto a ->
-        if a = sentinel then continue := false else ctx.Machine.rip <- a
+      | Semantics.Jump -> if ctx.Machine.rip = sentinel then continue := false
       | Semantics.Stop -> continue := false
     end
     else if loff >= 0 && loff < lib_n && Array.unsafe_get lib_len loff <> 0
@@ -98,8 +97,7 @@ let rec run_from prog ctx ~fuel =
           ~cost:(Array.unsafe_get lib_cost loff)
       with
       | Semantics.Fall -> ctx.Machine.rip <- addr + len
-      | Semantics.Goto a ->
-        if a = sentinel then continue := false else ctx.Machine.rip <- a
+      | Semantics.Jump -> if ctx.Machine.rip = sentinel then continue := false
       | Semantics.Stop -> continue := false
     end
     else if addr = prog.Program.par_for_addr then begin
@@ -114,8 +112,8 @@ let rec run_from prog ctx ~fuel =
       | Some (insn, len) -> (
         match Semantics.exec ctx insn ~len with
         | Semantics.Fall -> ctx.Machine.rip <- addr + len
-        | Semantics.Goto a ->
-          if a = sentinel then continue := false else ctx.Machine.rip <- a
+        | Semantics.Jump ->
+          if ctx.Machine.rip = sentinel then continue := false
         | Semantics.Stop -> continue := false)
     end
   done

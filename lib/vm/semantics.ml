@@ -22,7 +22,7 @@ open Janus_vx
 
 type control =
   | Fall            (* fall through to the next instruction *)
-  | Goto of int     (* transfer to an application address *)
+  | Jump            (* control transferred; [ctx.rip] holds the target *)
   | Stop            (* program exited or halted *)
 
 exception Div_by_zero of int  (* rip *)
@@ -261,30 +261,6 @@ let[@inline] pop_value ctx =
 let push ctx v = push_value ctx v
 let pop ctx = pop_value ctx
 
-(* Fused pairs (the DBM's superinstructions) *)
-
-(* The DBM only fuses register/immediate operands, so these never
-   touch memory; each is one call from the DBM's executor, and no int64
-   crosses into it. *)
-
-let cmp_jcc ctx a b cond =
-  exec_cmp ctx a b;
-  cond_holds ctx.Machine.flags cond
-
-(* the ALU result's flags are dead: the compare rewrites the whole
-   packed word *)
-let alu_cmp ctx op d s a b =
-  let y = value_of ctx s in
-  let x = value_of ctx d in
-  let v = alu op x y in
-  store_to ctx d v;
-  exec_cmp ctx a b
-
-let mov_alu ctx d1 s1 op d2 s2 =
-  let v1 = value_of ctx s1 in
-  store_to ctx d1 v1;
-  exec_alu ctx op d2 s2
-
 (* Syscalls (cold: Machine's accessors are fine here) *)
 
 let syscall ctx n =
@@ -322,12 +298,20 @@ let syscall ctx n =
   end
   else Fall  (* unknown syscalls are no-ops *)
 
+(* a taken branch: the target goes straight into [ctx.rip], so the
+   result is a constant and allocates nothing *)
+let[@inline] jump ctx a =
+  ctx.Machine.rip <- a;
+  Jump
+
 (** Execute one instruction whose encoded length is [len], charging
     [cost] cycles (callers with a translated slot pass the cost they
     precomputed at translation time; {!exec} computes it here). Updates
     registers, flags, memory, cycle and instruction counters, and
-    returns where control goes. Does NOT update [ctx.rip] — callers
-    own instruction sequencing. *)
+    returns where control goes. A taken branch writes its target into
+    [ctx.rip] after its last memory access (a call's push, a return's
+    pop) and returns [Jump]; on [Fall] and [Stop] [ctx.rip] is left for
+    the caller to sequence. *)
 let exec_costed ctx insn ~len ~cost =
   ctx.Machine.cycles <- ctx.Machine.cycles + cost;
   ctx.Machine.icount <- ctx.Machine.icount + 1;
@@ -371,17 +355,18 @@ let exec_costed ctx insn ~len ~cost =
     let x = value_of ctx a in
     ctx.Machine.flags <- flags_result (Int64.logand x y);
     Fall
-  | Insn.Jmp (Insn.Direct a) -> Goto a
-  | Insn.Jmp (Insn.Indirect o) -> Goto (Int64.to_int (value_of ctx o))
-  | Insn.Jcc (c, a) -> if cond_holds ctx.Machine.flags c then Goto a else Fall
+  | Insn.Jmp (Insn.Direct a) -> jump ctx a
+  | Insn.Jmp (Insn.Indirect o) -> jump ctx (Int64.to_int (value_of ctx o))
+  | Insn.Jcc (c, a) ->
+    if cond_holds ctx.Machine.flags c then jump ctx a else Fall
   | Insn.Call (Insn.Direct a) ->
     push_value ctx (Int64.of_int (ctx.Machine.rip + len));
-    Goto a
+    jump ctx a
   | Insn.Call (Insn.Indirect o) ->
     let target = Int64.to_int (value_of ctx o) in
     push_value ctx (Int64.of_int (ctx.Machine.rip + len));
-    Goto target
-  | Insn.Ret -> Goto (Int64.to_int (pop_value ctx))
+    jump ctx target
+  | Insn.Ret -> jump ctx (Int64.to_int (pop_value ctx))
   | Insn.Push o ->
     let v = value_of ctx o in
     push_value ctx v;

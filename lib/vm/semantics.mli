@@ -10,7 +10,7 @@ open Janus_vx
 (** Where control goes after one instruction. *)
 type control =
   | Fall          (** fall through to the next instruction *)
-  | Goto of int   (** transfer to an application address *)
+  | Jump          (** control transferred: [ctx.rip] holds the target *)
   | Stop          (** the program exited or halted *)
 
 exception Div_by_zero of int  (** rip of the faulting division *)
@@ -32,35 +32,15 @@ val eval_cond : Machine.t -> Cond.t -> bool
 val set_flags_cmp : Machine.t -> int64 -> int64 -> unit
 val set_flags_result : Machine.t -> int64 -> unit
 
-(** {2 Fused pairs}
-
-    The DBM's superinstructions, one call each. Operands must be
-    registers or immediates (destinations registers), which is what
-    the DBM fuses; flags and registers end bit-identical to executing
-    the two instructions in turn. Cycle, icount and rip bookkeeping is
-    the caller's. *)
-
-(** [cmp a, b] then [jcc cond]: sets the flags, returns whether the
-    branch is taken. *)
-val cmp_jcc : Machine.t -> Operand.t -> Operand.t -> Cond.t -> bool
-
-(** [d op= s] then [cmp a, b]. *)
-val alu_cmp :
-  Machine.t -> Insn.alu -> Operand.t -> Operand.t -> Operand.t -> Operand.t ->
-  unit
-
-(** [mov d1, s1] then [d2 op= s2]. *)
-val mov_alu :
-  Machine.t -> Operand.t -> Operand.t -> Insn.alu -> Operand.t -> Operand.t ->
-  unit
-
 val push : Machine.t -> int64 -> unit
 val pop : Machine.t -> int64
 
 (** Execute one instruction whose encoded length is [len]: updates
     registers, flags, memory and the cycle/instruction counters, and
-    returns where control goes. Does {e not} advance [ctx.rip] —
-    callers own instruction sequencing. *)
+    returns where control goes. A taken branch, call or return writes
+    its target into [ctx.rip] and returns {!Jump}; on {!Fall} and
+    {!Stop} [ctx.rip] still holds the instruction's own address, and
+    advancing it is the caller's. *)
 val exec : Machine.t -> Insn.t -> len:int -> control
 
 (** {!exec} with the instruction's {!Cost.of_insn} precomputed by the

@@ -67,7 +67,7 @@ let test_fragments_cached () =
   (* the loop executes 200 times but each block is translated once
      (plus possible trace promotions) *)
   Alcotest.(check bool) "few fragments" true
-    (Hashtbl.length cache.Dbm.frags <= 8);
+    (Machine.Int_table.length cache.Dbm.frags <= 8);
   Alcotest.(check bool) "many dispatches" true
     (dbm.Dbm.stats.Dbm.dispatches > 200)
 
@@ -84,10 +84,11 @@ let test_cache_flush () =
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
   ignore (Dbm.run dbm cache ctx);
-  Alcotest.(check bool) "cache populated" true (Hashtbl.length cache.Dbm.frags > 0);
+  Alcotest.(check bool) "cache populated" true
+    (Machine.Int_table.length cache.Dbm.frags > 0);
   Dbm.flush_cache dbm cache;
   Alcotest.(check int) "cache empty after flush" 0
-    (Hashtbl.length cache.Dbm.frags);
+    (Machine.Int_table.length cache.Dbm.frags);
   Alcotest.(check int) "flush counted" 1 dbm.Dbm.stats.Dbm.cache_flushes
 
 let test_out_of_fuel_is_typed () =
@@ -365,7 +366,8 @@ let test_dispatches_count_first_executions () =
     let dbm, cache, _, outcome = run_dbm img in
     Alcotest.(check bool) (name ^ " halted") true (outcome = `Halted);
     let execs =
-      Hashtbl.fold (fun _ f acc -> acc + f.Dbm.f_execs) cache.Dbm.frags 0
+      Machine.Int_table.fold
+        (fun _ f acc -> acc + f.Dbm.f_execs) cache.Dbm.frags 0
     in
     Alcotest.(check int) (name ^ ": dispatches = fragment executions")
       execs dbm.Dbm.stats.Dbm.dispatches;

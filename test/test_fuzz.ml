@@ -1,6 +1,6 @@
 (* Tests for the differential fuzzing harness: oracle self-test,
-   shrinking bounds, kernel codec round-trips, the trace-promotion and
-   fusion equivalence properties, and replay of every shrunk reproducer under
+   shrinking bounds, kernel codec round-trips, the trace-promotion
+   equivalence property, and replay of every shrunk reproducer under
    test/corpus/ as a permanent regression case. *)
 
 open Janus_vm
@@ -121,37 +121,24 @@ let prop_codec_roundtrip =
       Kernel.of_string (Kernel.to_string k) = k)
 
 (* One DBM-only run of [img]: what a guest can observe (output, final
-   memory, cycles, retired instructions), the DBM's counters, and how
-   many fused superinstructions the final code cache holds. *)
+   memory) and the DBM's counters. *)
 type dbm_run = {
   out : string;
   mem : string;
-  cycles : int;
-  icount : int;
   stats : Dbm.stats;
-  fused : int;
 }
 
-let run_dbm ?promote_threshold ?fuse img =
+let run_dbm ?promote_threshold img =
   let prog = Program.load img in
-  let dbm = Dbm.create ?promote_threshold ?fuse prog in
+  let dbm = Dbm.create ?promote_threshold prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
   (match Dbm.run dbm cache ctx with
   | `Halted -> ()
   | `Yielded -> Alcotest.fail "DBM yielded outside a parallel region"
   | `Out_of_fuel _ -> Alcotest.fail "DBM ran out of fuel");
-  let fused =
-    Hashtbl.fold
-      (fun _ f n ->
-        Array.fold_left
-          (fun n st -> match st with Dbm.Step _ -> n | _ -> n + 1)
-          n f.Dbm.f_steps)
-      cache.Dbm.frags 0
-  in
   { out = Buffer.contents ctx.Machine.out; mem = Run.mem_digest ctx;
-    cycles = ctx.Machine.cycles; icount = ctx.Machine.icount;
-    stats = dbm.Dbm.stats; fused }
+    stats = dbm.Dbm.stats }
 
 let kernel_image k =
   QCheck2.assume (Kernel.valid k);
@@ -173,24 +160,6 @@ let prop_promotion_equivalence =
         QCheck2.Test.fail_report "disabled promotion still built traces";
       String.equal forced.out off.out && String.equal forced.mem off.mem)
 
-(* superinstruction fusion must be invisible too, and exact in the
-   cycle model: fused and unfused runs print the same bytes, leave the
-   same memory, and charge the same cycles and retired instructions *)
-let prop_fusion_inert =
-  QCheck2.Test.make ~count:30 ~name:"superinstruction fusion is inert"
-    ~print:Kernel.to_string Gen.kernel (fun k ->
-      let img = kernel_image k in
-      let fused = run_dbm ~fuse:true img in
-      let plain = run_dbm ~fuse:false img in
-      if fused.fused = 0 then
-        QCheck2.Test.fail_report "nothing was fused (property is vacuous)";
-      if plain.fused > 0 then
-        QCheck2.Test.fail_report "fusion off still fused";
-      String.equal fused.out plain.out
-      && String.equal fused.mem plain.mem
-      && fused.cycles = plain.cycles
-      && fused.icount = plain.icount)
-
 let tests =
   [
     Alcotest.test_case "oracle self-test caught and shrunk" `Quick
@@ -200,6 +169,5 @@ let tests =
       test_corpus_fingerprints;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_promotion_equivalence;
-    QCheck_alcotest.to_alcotest prop_fusion_inert;
   ]
   @ corpus_cases

@@ -174,11 +174,13 @@ let test_sphinx3_doacross_matches_native () =
 
 (* The interpreter's hot path allocates (almost) nothing per guest
    instruction: native and DBM-only runs of the host benchmark's twelve
-   programs at training scale stay within 2 and 3 minor words per
-   retired instruction. The count covers the whole run (image load and
-   final memory digest included) and is deterministic for a given build;
-   boxing an int64 per register write or memory word costs more than
-   the budget on its own. *)
+   programs at training scale stay within 0.25 and 0.45 minor words per
+   retired instruction (0.19 and 0.36 measured). The count covers the
+   whole run (image load and final memory digest included) and is
+   deterministic for a given build. A boxed target returned per taken
+   branch put native at 0.33; that and a closure allocated per DBM
+   dispatch put DBM-only at 0.99. An int64 box per register write or
+   memory word would cost several words more. *)
 let test_allocation_budget () =
   let programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ] in
   let words_per_insn run =
@@ -195,10 +197,10 @@ let test_allocation_budget () =
   in
   let native = words_per_insn (fun ~input img -> Janus.run_native ~input img) in
   let dbm = words_per_insn (fun ~input img -> Janus.run_dbm_only ~input img) in
-  if native > 2.0 || dbm > 3.0 then
+  if native > 0.25 || dbm > 0.45 then
     Alcotest.failf
-      "minor words per instruction: native %.2f (budget 2), DBM-only %.2f \
-       (budget 3)"
+      "minor words per instruction: native %.2f (budget 0.25), DBM-only %.2f \
+       (budget 0.45)"
       native dbm
 
 let tests =

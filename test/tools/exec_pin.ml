@@ -5,25 +5,31 @@
    or a DBM counter shows up as a diff against the committed
    exec_pin.expected.
 
-   Modes: native, DBM-only, the ten Janus configurations of the host
-   benchmark's [suite] workload, plus the STM-everywhere ablation and a
-   forced round-robin policy. Each program gets one fresh artifact
-   store shared by its configurations. Run from anywhere; prints to
-   stdout. *)
+   Modes: native, DBM-only, DBM-only with eager trace promotion (every
+   fragment becomes a trace on its first re-dispatch, so the trace
+   builder walks all hot code), the ten Janus configurations of the
+   host benchmark's [suite] workload, plus the STM-everywhere ablation
+   and a forced round-robin policy. Each program gets one fresh
+   artifact store shared by its configurations. Run from anywhere;
+   prints to stdout. *)
 
 module Suite = Janus_suite.Suite
 module Janus = Janus_core.Janus
 module Pipeline = Janus_core.Pipeline
 module Dbm = Janus_dbm.Dbm
 module Desc = Janus_schedule.Desc
+module Program = Janus_vm.Program
+module Run = Janus_vm.Run
+module Machine = Janus_vm.Machine
 
 let programs = Janus_core.Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
 
-type mode = Native | Dbm_only | Par of Janus.config
+type mode = Native | Dbm_only | Dbm_eager | Par of Janus.config
 
 let modes =
   [ ("native", Native);
     ("dbm", Dbm_only);
+    ("dbm-promote1", Dbm_eager);
     ("static", Par (Janus.config ~use_profile:false ~use_checks:false ()));
     ("profile", Par (Janus.config ~use_checks:false ()));
     ("janus-1t", Par (Janus.config ~threads:1 ()));
@@ -46,26 +52,49 @@ let stats_fields = function
       s.Dbm.translated_insns s.Dbm.cache_flushes s.Dbm.stm_commits
       s.Dbm.stm_aborts
 
+(* what [Janus.run_dbm_only] does, with the DBM built directly so its
+   promotion threshold can be 1 *)
+let run_dbm_eager ~input img =
+  let prog = Program.load img in
+  let dbm = Dbm.create ~promote_threshold:1 prog in
+  let cache = Dbm.new_cache Dbm.Main in
+  let ctx = Run.fresh_context prog in
+  List.iter (fun v -> Queue.push v ctx.Machine.input) input;
+  (match Dbm.run dbm cache ctx with
+   | `Halted -> ()
+   | `Yielded | `Out_of_fuel _ -> failwith "dbm-promote1: did not halt");
+  (ctx, dbm.Dbm.stats)
+
 let () =
   List.iter
     (fun (b : Suite.benchmark) ->
       let img = Suite.compile b in
       let input = Suite.train_input b in
       let store = Pipeline.store () in
+      let print name ~output ~exit_code ~cycles ~icount ~mem stats =
+        Printf.printf "%s %s out=%s exit=%d cycles=%d icount=%d mem=%s %s\n"
+          b.Suite.name name
+          (Digest.to_hex (Digest.string output))
+          exit_code cycles icount mem (stats_fields stats)
+      in
       List.iter
         (fun (name, mode) ->
-          let r =
-            match mode with
-            | Native -> Janus.run_native ~input img
-            | Dbm_only -> Janus.run_dbm_only ~input img
-            | Par cfg ->
-              let p = Janus.prepare ~cfg ~train_input:input ~store img in
-              Janus.run_parallel ~cfg ~input ~store p
+          let print_result (r : Janus.result) =
+            print name ~output:r.Janus.output ~exit_code:r.Janus.exit_code
+              ~cycles:r.Janus.cycles ~icount:r.Janus.icount
+              ~mem:r.Janus.mem_digest r.Janus.stats
           in
-          Printf.printf "%s %s out=%s exit=%d cycles=%d icount=%d mem=%s %s\n"
-            b.Suite.name name
-            (Digest.to_hex (Digest.string r.Janus.output))
-            r.Janus.exit_code r.Janus.cycles r.Janus.icount r.Janus.mem_digest
-            (stats_fields r.Janus.stats))
+          match mode with
+          | Native -> print_result (Janus.run_native ~input img)
+          | Dbm_only -> print_result (Janus.run_dbm_only ~input img)
+          | Dbm_eager ->
+            let ctx, stats = run_dbm_eager ~input img in
+            print name ~output:(Buffer.contents ctx.Machine.out)
+              ~exit_code:ctx.Machine.exit_code ~cycles:ctx.Machine.cycles
+              ~icount:ctx.Machine.icount ~mem:(Run.mem_digest ctx)
+              (Some stats)
+          | Par cfg ->
+            let p = Janus.prepare ~cfg ~train_input:input ~store img in
+            print_result (Janus.run_parallel ~cfg ~input ~store p))
         modes)
     programs
