@@ -10,8 +10,15 @@
    builder walks all hot code), the ten Janus configurations of the
    host benchmark's [suite] workload, plus the STM-everywhere ablation
    and a forced round-robin policy. Each program gets one fresh
-   artifact store shared by its configurations. Run from anywhere;
-   prints to stdout. *)
+   artifact store shared by its configurations.
+
+   Then one [profile] row per suite program (all 25, the adversarial
+   pair and adv.fission), as [Pipeline.profile] computes it for the
+   default configuration at the training input: the total instruction
+   count, then for each loop the training run recorded, in loop-id
+   order, its self instructions, invocations, iterations, the four
+   external-call counters and the observed and dependence bits. Run
+   from anywhere; prints to stdout. *)
 
 module Suite = Janus_suite.Suite
 module Janus = Janus_core.Janus
@@ -21,6 +28,7 @@ module Desc = Janus_schedule.Desc
 module Program = Janus_vm.Program
 module Run = Janus_vm.Run
 module Machine = Janus_vm.Machine
+module Profiler = Janus_profile.Profiler
 
 let programs = Janus_core.Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
 
@@ -98,3 +106,32 @@ let () =
             print_result (Janus.run_parallel ~cfg ~input ~store p))
         modes)
     programs
+
+let () =
+  let cfg = Janus.config () in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let img = Suite.compile b in
+      let store = Pipeline.store () in
+      let analysis = Pipeline.analyse ~store img in
+      match
+        Pipeline.profile ~store ~cfg ~train_input:(Suite.train_input b) img
+          analysis
+      with
+      | Some cov, Some deps ->
+        let loop lid =
+          let c = Profiler.cov_of cov lid in
+          Printf.sprintf " %d:%d/%d/%d/%d/%d/%d/%d/%d%d" lid c.Profiler.self_insns
+            c.Profiler.invocations c.Profiler.iterations c.Profiler.ex_calls
+            c.Profiler.ex_insns c.Profiler.ex_reads c.Profiler.ex_writes
+            (Bool.to_int (Profiler.was_observed deps lid))
+            (Bool.to_int (Profiler.has_dep deps lid))
+        in
+        Printf.printf "%s profile total=%d%s\n" b.Suite.name
+          cov.Profiler.total_insns
+          (String.concat ""
+             (List.map loop
+                (List.sort_uniq compare
+                   (Profiler.loop_ids cov @ Profiler.dep_loop_ids deps))))
+      | _ -> failwith "profile: the default config profiles both halves")
+    (Suite.all @ Suite.adversarial @ [ Suite.adv_fission ])
