@@ -3,9 +3,11 @@
    Prints the loop classification summary and optionally writes the
    parallelisation rewrite schedule. Without a profile, every eligible
    loop is selected (the "Statically-Driven" configuration); with
-   --profile (a .jpf written by janus_prof -o) selection applies the
-   paper's coverage/trip/work filters and the observed-dependence veto
-   — the full profile-guided offline workflow of Fig. 1(a).
+   --profile-dir (a profile store janus_prof --emit-profile wrote)
+   selection applies the paper's coverage/trip/work filters and the
+   observed-dependence veto to the binary's stored profile — the full
+   profile-guided offline workflow of Fig. 1(a). Either way selection is
+   Janus.select's, and each rejected loop is printed with its reason.
 
    --verify re-derives cross-iteration dependences with the independent
    dataflow framework (lib/verify) and cross-checks them against the
@@ -15,17 +17,13 @@
 open Cmdliner
 module Analysis = Janus_analysis.Analysis
 module Loopanal = Janus_analysis.Loopanal
-module Profiler = Janus_profile.Profiler
 module Janus = Janus_core.Janus
+module Pipeline = Janus_core.Pipeline
+module Pgo = Janus_pgo.Pgo
 module Verify = Janus_verify.Verify
 
-let analyse input schedule_out disasm profile_in verify fission depgraph
+let report image ~evidence schedule_out disasm verify fission depgraph
     dot_dir =
-  let bytes =
-    In_channel.with_open_bin input (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  let image = Janus_vx.Image.of_bytes bytes in
   if disasm then Fmt.pr "%a@." Janus_vx.Disasm.image image;
   let t = Analysis.analyse_image image in
   Fmt.pr "%a" Analysis.pp_summary t;
@@ -54,41 +52,24 @@ let analyse input schedule_out disasm profile_in verify fission depgraph
   let emitted = ref None in
   (match schedule_out with
    | Some path ->
-     let selected =
-       match profile_in with
-       | Some jpf ->
-         (* profile-guided selection, identical to the in-process
-            pipeline's filters *)
-         let coverage, deps = Profiler.load jpf in
-         let sel =
-           Janus.select ~cfg:(Janus.config ~fission ()) t
-             ~coverage:(Some coverage) ~deps:(Some deps)
-         in
-         List.iter
-           (fun (lid, reason) -> Fmt.pr "loop %d rejected: %s@." lid reason)
-           sel.Janus.rejected;
-         sel.Janus.chosen
+     (* the in-process pipeline's filters over the stored profile;
+        without one, every eligible loop (DOACROSS ones included) *)
+     let sel =
+       match evidence with
+       | Some e ->
+         Janus.select ~cfg:(Janus.config ~fission ()) t
+           ~coverage:e.Pipeline.ev_coverage ~deps:e.Pipeline.ev_deps
        | None ->
-         List.filter_map
-           (fun (r : Loopanal.report) ->
-              match Analysis.eligibility r with
-              | Analysis.Eligible_static | Analysis.Eligible_dynamic _ ->
-                Some (r, Janus_schedule.Desc.Chunked)
-              | (Analysis.Eligible_doacross _ | Analysis.Not_eligible _)
-                when fission
-                     && (match r.Loopanal.cls with
-                         | Loopanal.Static_dep _ ->
-                           Janus_analysis.Depgraph.plan r <> None
-                         | _ -> false) ->
-                Some (r, Janus_schedule.Desc.Chunked)
-              | Analysis.Eligible_doacross pct ->
-                Some (r, Janus_schedule.Desc.Doacross pct)
-              | Analysis.Not_eligible _ -> None)
-           t.Analysis.reports
+         Janus.select
+           ~cfg:(Janus.config ~use_profile:false ~use_doacross:true ~fission ())
+           t ~coverage:None ~deps:None
      in
+     List.iter
+       (fun (lid, reason) -> Fmt.pr "loop %d rejected: %s@." lid reason)
+       sel.Janus.rejected;
      let sched, encoded =
        Janus_analysis.Rulegen.parallel_schedule ~fission t.Analysis.cfg
-         selected
+         sel.Janus.chosen
      in
      Out_channel.with_open_bin path (fun oc ->
          Out_channel.output_bytes oc (Janus_schedule.Schedule.to_bytes sched));
@@ -116,6 +97,25 @@ let analyse input schedule_out disasm profile_in verify fission depgraph
     if Verify.has_errors findings then 1 else 0
   end
 
+let analyse input schedule_out disasm profile_dir verify fission depgraph
+    dot_dir =
+  let bytes =
+    In_channel.with_open_bin input (fun ic ->
+        Bytes.of_string (In_channel.input_all ic))
+  in
+  let image = Janus_vx.Image.of_bytes bytes in
+  let stored dir =
+    Pgo.Store.evidence_for (Pgo.Store.open_ dir)
+      ~image:(Pipeline.image_key image)
+  in
+  match Option.map (fun dir -> (dir, stored dir)) profile_dir with
+  | Some (dir, None) ->
+    Fmt.epr "janus_analyze: %s holds no profile for %s@." dir input;
+    2
+  | p ->
+    report image ~evidence:(Option.bind p snd) schedule_out disasm verify
+      fission depgraph dot_dir
+
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BIN")
 
 let schedule_out =
@@ -123,11 +123,13 @@ let schedule_out =
 
 let disasm = Arg.(value & flag & info [ "disasm" ] ~doc:"Print disassembly")
 
-let profile_in =
-  Arg.(value & opt (some file) None
-       & info [ "profile" ] ~docv:"FILE.jpf"
-           ~doc:"Profile from janus_prof -o; enables profile-guided loop\n\
-                 selection for --emit-schedule.")
+let profile_dir =
+  Arg.(value & opt (some dir) None
+       & info [ "profile-dir" ] ~docv:"DIR"
+           ~doc:"Profile store written by janus_prof --emit-profile (or\n\
+                 janus_pgo); enables profile-guided loop selection for\n\
+                 --emit-schedule. Exits 2 when $(docv) holds no profile\n\
+                 for the binary.")
 
 let verify_flag =
   Arg.(value & flag
@@ -162,7 +164,7 @@ let cmd =
     (Cmd.info "janus_analyze"
        ~doc:"Static binary analyser: loop classification + rewrite schedules")
     Term.(
-      const analyse $ input $ schedule_out $ disasm $ profile_in $ verify_flag
+      const analyse $ input $ schedule_out $ disasm $ profile_dir $ verify_flag
       $ fission_flag $ depgraph_flag $ dot_dir)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,7 +8,7 @@ module Loopanal = Janus_analysis.Loopanal
 module Pgo = Janus_pgo.Pgo
 module Pipeline = Janus_core.Pipeline
 
-let profile input scale out emit_profile =
+let profile input scale emit_profile =
   let bytes =
     In_channel.with_open_bin input (fun ic ->
         Bytes.of_string (In_channel.input_all ic))
@@ -16,8 +16,7 @@ let profile input scale out emit_profile =
   let image = Janus_vx.Image.of_bytes bytes in
   let t = Analysis.analyse_image image in
   let inp = [ Int64.of_int scale ] in
-  let cov = Profiler.run_coverage ~input:inp image t in
-  let deps = Profiler.run_dependence ~input:inp image t in
+  let cov, deps = Profiler.run ~input:inp image t in
   Fmt.pr "total dynamic instructions: %d@." cov.Profiler.total_insns;
   Fmt.pr "%-8s %-14s %10s %10s %8s %8s %6s@." "loop" "class" "coverage"
     "avg-trip" "invocs" "work" "dep?";
@@ -34,11 +33,6 @@ let profile input scale out emit_profile =
           else if Profiler.was_observed deps lid then "no"
           else "-"))
     t.Analysis.reports;
-  (match out with
-   | Some path ->
-     Profiler.save path cov deps;
-     Fmt.pr "wrote %s (%d loops)@." path (Hashtbl.length cov.Profiler.loops)
-   | None -> ());
   (match emit_profile with
    | Some dir ->
      let store = Pgo.Store.open_ dir in
@@ -61,21 +55,16 @@ let scale =
   Arg.(value & opt int 10 & info [ "scale" ] ~docv:"N"
          ~doc:"Training input (read by the program via read_int)")
 
-let out =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "output" ] ~docv:"FILE.jpf"
-           ~doc:"Write the profile for janus_analyze --profile.")
-
 let emit_profile =
   Arg.(value & opt (some string) None
        & info [ "emit-profile" ] ~docv:"DIR"
            ~doc:"Merge this training run into the persistent profile store\n\
                  at $(docv) (one .jprof per binary, keyed by image digest)\n\
-                 for janus_pgo / janus_eval --profile-dir.")
+                 for janus_analyze, janus_pgo and janus_eval --profile-dir.")
 
 let cmd =
   Cmd.v
     (Cmd.info "janus_prof" ~doc:"Coverage and dependence profiling")
-    Term.(const profile $ input $ scale $ out $ emit_profile)
+    Term.(const profile $ input $ scale $ emit_profile)
 
 let () = exit (Cmd.eval' cmd)

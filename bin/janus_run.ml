@@ -59,7 +59,7 @@ let run input mode threads scale train_scale schedule_file prefetch fission
                 (Bytes.of_string (In_channel.input_all ic)))
         with
         | sched -> Ok (Some sched)
-        | exception (Failure msg | Invalid_argument msg) ->
+        | exception Janus_schedule.Schedule.Bad_schedule msg ->
           Error (die exit_bad_input "%s is not a rewrite schedule: %s" path msg)
       end
   in

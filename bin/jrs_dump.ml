@@ -90,16 +90,36 @@ let gp_mask_names mask =
   done;
   String.concat ", " !names
 
+let pp_fission_desc ppf (fd : Desc.fission_desc) =
+  pp_loop_desc ppf fd.Desc.fd_loop;
+  Fmt.pf ppf "        infra: %s@."
+    (String.concat ", " (List.map (Printf.sprintf "0x%x") fd.Desc.fd_infra));
+  List.iteri
+    (fun i (g : Desc.fission_group) ->
+       Fmt.pf ppf "        sub-loop %d (%s): %s@." i
+         (if g.Desc.fg_parallel then "parallel" else "sequential")
+         (String.concat ", "
+            (List.map (Printf.sprintf "0x%x") g.Desc.fg_insns)))
+    fd.Desc.fd_groups
+
+(* the verifier owns descriptor validity: one that does not decode is
+   shown as such, not diagnosed *)
+let pp_desc decode pp ppf off =
+  match decode off with
+  | d -> pp ppf d
+  | exception (Failure _ | Invalid_argument _) ->
+    Fmt.pf ppf "      (descriptor at +%Ld does not decode)@." off
+
 let pp_rule sched ppf (r : Rule.t) =
   Fmt.pf ppf "  0x%06x %-18s" r.Rule.addr (Rule.id_name r.Rule.id);
   (match r.Rule.id with
    | Rule.LOOP_INIT | Rule.LOOP_FINISH ->
      Fmt.pf ppf " loop %Ld, descriptor at +%Ld@." r.Rule.aux r.Rule.data;
      if r.Rule.id = Rule.LOOP_INIT then
-       pp_loop_desc ppf (Schedule.loop_desc sched r.Rule.data)
+       pp_desc (Schedule.loop_desc sched) pp_loop_desc ppf r.Rule.data
    | Rule.MEM_BOUNDS_CHECK ->
      Fmt.pf ppf " loop %Ld, descriptor at +%Ld@." r.Rule.aux r.Rule.data;
-     pp_check_desc ppf (Schedule.check_desc sched r.Rule.data)
+     pp_desc (Schedule.check_desc sched) pp_check_desc ppf r.Rule.data
    | Rule.LOOP_UPDATE_BOUND ->
      Fmt.pf ppf " bound is operand %Ld, compare tests iv%+Ld@." r.Rule.data
        r.Rule.aux
@@ -112,25 +132,18 @@ let pp_rule sched ppf (r : Rule.t) =
      Fmt.pf ppf " loop %Ld, %Ld bytes ahead@." r.Rule.aux r.Rule.data
    | Rule.LOOP_FISSION ->
      Fmt.pf ppf " loop %Ld, descriptor at +%Ld@." r.Rule.aux r.Rule.data;
-     let fd = Schedule.fission_desc sched r.Rule.data in
-     pp_loop_desc ppf fd.Desc.fd_loop;
-     Fmt.pf ppf "        infra: %s@."
-       (String.concat ", "
-          (List.map (Printf.sprintf "0x%x") fd.Desc.fd_infra));
-     List.iteri
-       (fun i (g : Desc.fission_group) ->
-          Fmt.pf ppf "        sub-loop %d (%s): %s@." i
-            (if g.Desc.fg_parallel then "parallel" else "sequential")
-            (String.concat ", "
-               (List.map (Printf.sprintf "0x%x") g.Desc.fg_insns)))
-       fd.Desc.fd_groups
+     pp_desc (Schedule.fission_desc sched) pp_fission_desc ppf r.Rule.data
    | Rule.PROF_MEM_ACCESS ->
      Fmt.pf ppf " loop %Ld (%s)@." r.Rule.data
        (if Int64.equal r.Rule.aux 1L then "write" else "read")
    | _ -> Fmt.pf ppf " loop %Ld@." r.Rule.data)
 
 let dump input binary verify =
-  let sched = read_schedule input in
+  match read_schedule input with
+  | exception Schedule.Bad_schedule msg ->
+    Fmt.epr "jrs_dump: %s is not a rewrite schedule: %s@." input msg;
+    2
+  | sched ->
   let channel =
     match sched.Schedule.channel with
     | Schedule.Profiling -> "profiling"

@@ -29,7 +29,8 @@ let read_bytes path =
 let load what path decode =
   match decode (read_bytes path) with
   | v -> v
-  | exception (Failure msg | Invalid_argument msg) ->
+  | exception
+      (Failure msg | Invalid_argument msg | Schedule.Bad_schedule msg) ->
     Fmt.epr "janus_verify: %s is not a readable %s (%s)@." path what msg;
     exit 2
 

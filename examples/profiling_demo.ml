@@ -1,5 +1,5 @@
 (* Statically-driven profiling (§II-C): the analyser emits profiling
-   rewrite rules; the DBM interprets them during a training run to
+   rewrite rules; the DBM interprets them during one training run to
    measure loop coverage and detect cross-iteration dependences.
 
      dune exec examples/profiling_demo.exe *)
@@ -33,8 +33,7 @@ let source =
 let () =
   let image = Janus_jcc.Jcc.compile source in
   let analysis = Analysis.analyse_image image in
-  let cov = Profiler.run_coverage ~input:[ 2048L ] image analysis in
-  let deps = Profiler.run_dependence ~input:[ 2048L ] image analysis in
+  let cov, deps = Profiler.run ~input:[ 2048L ] image analysis in
   Fmt.pr "static classification + training-run profile:@.";
   Fmt.pr "%-6s %-14s %9s %9s %6s@." "loop" "class" "coverage" "avg-trip" "dep?";
   List.iter

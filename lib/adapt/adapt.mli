@@ -14,7 +14,7 @@
     re-promoted when the input regime shifts.
 
     {b Training-free mode}: a Dynamic-class loop deployed without a
-    [.jpf] profile starts in {!Sampling}: its first [sample_n]
+    profile starts in {!Sampling}: its first [sample_n]
     invocations run sequentially under the memory-dependence profiler's
     shadow word-map ({!Janus_profile.Profiler.Shadow}) as an online
     sample, after which the governor commits the loop to parallel or

@@ -214,14 +214,16 @@ let emit_parallel_rules (cfgt : Cfg.t) b (r : Loopanal.report) ~policy =
     end
   | _ -> false
 
-(** Coverage-profiling schedule: instrument every feasible loop. *)
-let coverage_schedule (cfgt : Cfg.t) (reports : Loopanal.report list) =
+(** The profiling schedule of one training run: loop and external-call
+    probes on every feasible loop, and the ambiguous loops' unresolved
+    accesses watched. *)
+let profiling_schedule (cfgt : Cfg.t) (reports : Loopanal.report list) =
   let b = Schedule.builder Schedule.Profiling in
   List.iter
     (fun (r : Loopanal.report) ->
        match r.Loopanal.cls with
        | Loopanal.Incompatible _ -> ()
-       | _ ->
+       | cls ->
          let l = r.Loopanal.loop in
          let lid = Int64.of_int l.Looptree.lid in
          (match l.Looptree.preheader with
@@ -248,56 +250,33 @@ let coverage_schedule (cfgt : Cfg.t) (reports : Loopanal.report list) =
                   (Rule.make ~addr:(call_addr + len) ~data:lid
                      Rule.PROF_EXCALL_FINISH)
               | None -> ())
-           r.Loopanal.excall_sites)
-    reports;
-  Schedule.build b
-
-(** Dependence-profiling schedule: watch the memory accesses of every
-    ambiguous loop. *)
-let dependence_schedule (reports : Loopanal.report list) =
-  let b = Schedule.builder Schedule.Profiling in
-  List.iter
-    (fun (r : Loopanal.report) ->
-       match r.Loopanal.cls with
-       | Loopanal.Ambiguous _ ->
-         let l = r.Loopanal.loop in
-         let lid = Int64.of_int l.Looptree.lid in
-         (match l.Looptree.preheader with
-          | Some p ->
-            (match terminator_addr r.Loopanal.func p with
-             | Some a ->
-               Schedule.add_rule b (Rule.make ~addr:a ~data:lid Rule.PROF_LOOP_START)
-             | None -> ())
-          | None -> ());
-         Schedule.add_rule b
-           (Rule.make ~addr:l.Looptree.header ~data:lid Rule.PROF_LOOP_ITER);
-         List.iter
-           (fun target ->
-              Schedule.add_rule b
-                (Rule.make ~addr:target ~data:lid Rule.PROF_LOOP_FINISH))
-           (distinct_exit_targets l);
-         (* instrument exactly the accesses the static pass could not
-            disambiguate — not every load and store (§II-C) *)
-         List.iter
-           (fun (g : Loopanal.access_sum) ->
-              Schedule.add_rule b
-                (Rule.make ~addr:g.Loopanal.g_insn
-                   ~data:lid
-                   ~aux:(if g.Loopanal.g_write then 1L else 0L)
-                   Rule.PROF_MEM_ACCESS))
-           (List.filter
+           r.Loopanal.excall_sites;
+         (* dependence profiling instruments exactly the accesses the
+            static pass could not disambiguate — not every load and
+            store (§II-C); all of them are memory instructions, so no
+            event lands on a direct jump a trace would elide *)
+         (match cls with
+          | Loopanal.Ambiguous _ ->
+            List.iter
               (fun (g : Loopanal.access_sum) ->
-                 (* instrument only statically unresolved non-stack
-                    accesses: spill slots are thread-private at runtime
-                    and their reuse is not a loop dependence *)
-                 (not g.Loopanal.g_stack)
-                 && (g.Loopanal.g_opaque
-                     ||
-                     match Sympoly.to_const g.Loopanal.g_base with
-                     | Some _ -> false  (* statically resolved *)
-                     | None -> true))
-              r.Loopanal.accesses)
-       | _ -> ())
+                 Schedule.add_rule b
+                   (Rule.make ~addr:g.Loopanal.g_insn
+                      ~data:lid
+                      ~aux:(if g.Loopanal.g_write then 1L else 0L)
+                      Rule.PROF_MEM_ACCESS))
+              (List.filter
+                 (fun (g : Loopanal.access_sum) ->
+                    (* instrument only statically unresolved non-stack
+                       accesses: spill slots are thread-private at
+                       runtime and their reuse is not a loop dependence *)
+                    (not g.Loopanal.g_stack)
+                    && (g.Loopanal.g_opaque
+                        ||
+                        match Sympoly.to_const g.Loopanal.g_base with
+                        | Some _ -> false  (* statically resolved *)
+                        | None -> true))
+                 r.Loopanal.accesses)
+          | _ -> ()))
     reports;
   Schedule.build b
 

@@ -11,13 +11,11 @@ module Rexpr = Janus_schedule.Rexpr
 val loop_desc :
   Cfg.t -> Loopanal.report -> policy:Desc.policy -> Desc.loop_desc option
 
-(** Coverage-profiling schedule: PROF_LOOP_START/ITER/FINISH for every
-    feasible loop, EXCALL probes around shared-library calls (§II-C). *)
-val coverage_schedule : Cfg.t -> Loopanal.report list -> Schedule.t
-
-(** Dependence-profiling schedule: PROF_MEM_ACCESS on exactly the
+(** The profiling schedule a training run interprets (§II-C):
+    PROF_LOOP_START/ITER/FINISH for every feasible loop, EXCALL probes
+    around its shared-library calls, and PROF_MEM_ACCESS on exactly the
     statically unresolved, non-stack accesses of ambiguous loops. *)
-val dependence_schedule : Loopanal.report list -> Schedule.t
+val profiling_schedule : Cfg.t -> Loopanal.report list -> Schedule.t
 
 (** Distance in bytes a MEM_PREFETCH hint runs ahead of its access. *)
 val prefetch_distance : int

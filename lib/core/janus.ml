@@ -2,14 +2,14 @@
 
     {[
       let image = Janus_jcc.Jcc.compile source in
-      let result = Janus.parallelise image ~config:(Janus.config ~threads:8 ()) in
+      let result = Janus.parallelise ~cfg:(Janus.config ~threads:8 ()) image in
       (* result.output = the program's output, result.speedup, ... *)
     ]}
 
     The four evaluation configurations of Fig. 7 map to:
     - native execution: {!run_native}
     - "DynamoRIO": {!run_dbm_only}
-    - "Statically-Driven": [parallelise ~config:(config ~use_profile:false ~use_checks:false ())]
+    - "Statically-Driven": [parallelise ~cfg:(config ~use_profile:false ~use_checks:false ())]
     - "Statically-Driven + Profile": [~use_profile:true ~use_checks:false]
     - Janus (full): [~use_profile:true ~use_checks:true] *)
 
@@ -267,8 +267,7 @@ let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
   let dbm = Dbm.create ~schedule ~obs prog in
   let rt_config =
     { Runtime.threads = cfg.threads; force_policy = cfg.force_policy;
-      stm_access_limit = 4096; stm_everywhere = cfg.stm_everywhere;
-      fuel = cfg.fuel }
+      stm_everywhere = cfg.stm_everywhere; fuel = cfg.fuel }
   in
   let governor =
     if cfg.adapt then Some (Adapt.create ~obs ()) else None
@@ -386,7 +385,7 @@ let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
       (rule_loops Janus_schedule.Rule.LOOP_INIT
        @ rule_loops Janus_schedule.Rule.LOOP_FISSION)
   in
-  (* Deployment model: the schedule ships alone, with no [.jpf] beside
+  (* Deployment model: the schedule ships alone, with no profile beside
      it — so a checked (Dynamic-class) loop carries no dependence
      evidence and starts in the governor's training-free sampling
      state; unchecked loops were proven statically. *)

@@ -93,8 +93,7 @@ type store = {
   mu : Mutex.t;
   images : Image.t table;
   analyses : Analysis.t table;
-  coverages : Profiler.coverage table;
-  depses : Profiler.deps table;
+  profiles : (Profiler.coverage * Profiler.deps) table;
   schedules : Schedule.t table;
   verifieds : (Schedule.t * int list * Verify.finding list) table;
 }
@@ -104,8 +103,7 @@ let store ?(enabled = true) ?dir () =
   { enabled; dir; mu = Mutex.create ();
     images = table "image" { enc = Image.to_bytes; dec = Image.of_bytes };
     analyses = table "analysis" (marshal_codec ());
-    coverages = table "coverage" (marshal_codec ());
-    depses = table "deps" (marshal_codec ());
+    profiles = table "profile" (marshal_codec ());
     schedules =
       table "schedule" { enc = Schedule.to_bytes; dec = Schedule.of_bytes };
     verifieds = table "verified" (marshal_codec ()) }
@@ -116,15 +114,14 @@ let store_dir s = s.dir
 
 let tables s =
   [ ("image", s.images.ks); ("analysis", s.analyses.ks);
-    ("coverage", s.coverages.ks); ("deps", s.depses.ks);
+    ("profile", s.profiles.ks);
     ("schedule", s.schedules.ks); ("verified", s.verifieds.ks) ]
 
 let clear s =
   Mutex.lock s.mu;
   Hashtbl.reset s.images.tbl;
   Hashtbl.reset s.analyses.tbl;
-  Hashtbl.reset s.coverages.tbl;
-  Hashtbl.reset s.depses.tbl;
+  Hashtbl.reset s.profiles.tbl;
   Hashtbl.reset s.schedules.tbl;
   Hashtbl.reset s.verifieds.tbl;
   Mutex.unlock s.mu
@@ -324,27 +321,17 @@ let analyse ?(store = default_store) ?pool image =
       Analysis.analyse_image ?pool image)
 
 let profile ?(store = default_store) ~cfg ~train_input image analysis =
-  let key () =
-    Printf.sprintf "%s|fuel=%d|in=%s" (image_key image) cfg.fuel
-      (input_key train_input)
-  in
-  let coverage =
-    if cfg.use_profile then
-      Some
-        (memo store store.coverages (key ()) (fun () ->
-             Profiler.run_coverage ~fuel:cfg.fuel ~input:train_input image
-               analysis))
-    else None
-  in
-  let deps =
-    if cfg.use_checks then
-      Some
-        (memo store store.depses (key ()) (fun () ->
-             Profiler.run_dependence ~fuel:cfg.fuel ~input:train_input image
-               analysis))
-    else None
-  in
-  (coverage, deps)
+  if not (cfg.use_profile || cfg.use_checks) then (None, None)
+  else
+    let coverage, deps =
+      memo store store.profiles
+        (Printf.sprintf "%s|fuel=%d|in=%s" (image_key image) cfg.fuel
+           (input_key train_input))
+        (fun () ->
+           Profiler.run ~fuel:cfg.fuel ~input:train_input image analysis)
+    in
+    ((if cfg.use_profile then Some coverage else None),
+     if cfg.use_checks then Some deps else None)
 
 type selection = {
   chosen : (Loopanal.report * Desc.policy) list;

@@ -147,7 +147,7 @@ val cache_stats : store -> cache_stats
 (** Per-kind counter breakdown, memory and disk separated. *)
 type kind_stat = {
   k_kind : string;
-      (** image | analysis | coverage | deps | schedule | verified *)
+      (** image | analysis | profile | schedule | verified *)
   k_mem_hits : int;
   k_disk_hits : int;
   k_misses : int;
@@ -185,10 +185,12 @@ val image_key : Janus_vx.Image.t -> string
 val analyse :
   ?store:store -> ?pool:Janus_pool.Pool.t -> Janus_vx.Image.t -> Analysis.t
 
-(** Stage 2 — training-input profiling. Returns [(coverage, deps)]
-    with each side present only when the configuration asks for it
-    ([use_profile] / [use_checks]). Key: image digest + training input
-    + fuel (the only config fields the profiler reads). *)
+(** Stage 2 — training-input profiling: one {!Profiler.run}, cached as
+    one artifact (kind [profile]) holding both profiles. Returns
+    [(coverage, deps)] with each side present only when the
+    configuration asks for it ([use_profile] / [use_checks]); asked for
+    neither, it runs nothing. Key: image digest + training input + fuel
+    (the only config fields the profiler reads). *)
 val profile :
   ?store:store ->
   cfg:config ->

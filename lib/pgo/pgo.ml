@@ -509,8 +509,7 @@ let input_key input = String.concat "," (List.map Int64.to_string input)
 
 let collect ?fuel ?(source = Fleet) ~store ~input image =
   let analysis = Pipeline.analyse image in
-  let coverage = Profiler.run_coverage ?fuel ~input image analysis in
-  let deps = Profiler.run_dependence ?fuel ~input image analysis in
+  let coverage, deps = Profiler.run ?fuel ~input image analysis in
   let run =
     run_of_profile ~source ~input:(input_key input) ~coverage:(Some coverage)
       ~deps:(Some deps)

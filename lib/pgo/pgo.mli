@@ -222,9 +222,9 @@ end
 
 (** {1 Collection}
 
-    One profiler pass over [image] on [input]: coverage plus
-    dependence run, folded into a {!run} and saved. Returns the merged
-    profile. *)
+    One training run ({!Profiler.run}) over [image] on [input], its
+    coverage and dependence profiles folded into a {!run} and saved.
+    Returns the merged profile. *)
 val collect :
   ?fuel:int ->
   ?source:source ->

@@ -1,9 +1,9 @@
 (** Statically-driven profiling (§II-C): the analyser's profiling
-    rewrite schedules drive instrumentation inside the same DBM —
-    only the loops of interest, and only the instructions the static
-    pass could not disambiguate, are instrumented.
+    rewrite schedule drives instrumentation inside the same DBM — only
+    the loops of interest, and only the instructions the static pass
+    could not disambiguate, are instrumented.
 
-    Two training-run profiles:
+    One training run yields two profiles:
     - {e coverage}: dynamic instructions attributed to the innermost
       active loop, iteration and invocation counts, external-call
       footprints;
@@ -14,8 +14,9 @@ open Janus_vm
 module Rule = Janus_schedule.Rule
 module Dbm = Janus_dbm.Dbm
 module Analysis = Janus_analysis.Analysis
+module Loopanal = Janus_analysis.Loopanal
+module Looptree = Janus_analysis.Looptree
 module Rulegen = Janus_analysis.Rulegen
-module Obs = Janus_obs.Obs
 
 type loop_cov = {
   mutable self_insns : int;
@@ -64,101 +65,7 @@ let loop_ids coverage =
   |> List.sort_uniq compare
 
 (* ------------------------------------------------------------------ *)
-(* Coverage profiling                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_coverage ?(fuel = 100_000_000) ?(input = []) ?obs image
-    (analysis : Analysis.t) =
-  let schedule = Rulegen.coverage_schedule analysis.Analysis.cfg analysis.Analysis.reports in
-  let prog = Program.load image in
-  let dbm = Dbm.create ~schedule ?obs prog in
-  let cache = Dbm.new_cache Dbm.Main in
-  let loops = Hashtbl.create 16 in
-  let get lid =
-    match Hashtbl.find_opt loops lid with
-    | Some c -> c
-    | None ->
-      let c =
-        { self_insns = 0; invocations = 0; iterations = 0; ex_calls = 0;
-          ex_insns = 0; ex_reads = 0; ex_writes = 0 }
-      in
-      Hashtbl.replace loops lid c;
-      c
-  in
-  (* attribute instruction deltas to the innermost active loop *)
-  let active : int list ref = ref [] in
-  let last_mark = ref 0 in
-  let excall : (int * int) option ref = ref None in  (* lid, entry icount *)
-  let ex_reads = ref 0 and ex_writes = ref 0 in
-  let attribute (ctx : Machine.t) =
-    (match !active with
-     | lid :: _ ->
-       let c = get lid in
-       c.self_insns <- c.self_insns + (ctx.Machine.icount - !last_mark)
-     | [] -> ());
-    last_mark := ctx.Machine.icount
-  in
-  dbm.Dbm.on_event <-
-    (fun _ _ ctx r ->
-       let lid = Int64.to_int r.Rule.data in
-       (match r.Rule.id with
-        | Rule.PROF_LOOP_START ->
-          (* entry is detected robustly at the first ITER instead: a
-             vectorised loop's remainder has its preheader inside the
-             vector loop, so START can fire per vector iteration *)
-          attribute ctx
-        | Rule.PROF_LOOP_ITER ->
-          attribute ctx;
-          let c = get lid in
-          c.iterations <- c.iterations + 1;
-          if not (List.mem lid !active) then begin
-            c.invocations <- c.invocations + 1;
-            active := lid :: !active
-          end
-        | Rule.PROF_LOOP_FINISH ->
-          attribute ctx;
-          active := List.filter (fun x -> x <> lid) !active
-        | Rule.PROF_EXCALL_START ->
-          let c = get lid in
-          c.ex_calls <- c.ex_calls + 1;
-          excall := Some (lid, ctx.Machine.icount);
-          ex_reads := 0;
-          ex_writes := 0;
-          ctx.Machine.observe <-
-            Some
-              (fun rw ~addr ~bytes:_ ->
-                 if addr < Janus_vx.Layout.tls_base 0 then
-                   match rw with
-                   | Machine.Read -> incr ex_reads
-                   | Machine.Write -> incr ex_writes)
-        | Rule.PROF_EXCALL_FINISH -> begin
-            match !excall with
-            | Some (lid', entry) ->
-              let c = get lid' in
-              c.ex_insns <- c.ex_insns + (ctx.Machine.icount - entry);
-              c.ex_reads <- c.ex_reads + !ex_reads;
-              c.ex_writes <- c.ex_writes + !ex_writes;
-              ctx.Machine.observe <- None;
-              excall := None
-            | None -> ()
-          end
-        | _ -> ());
-       Dbm.Continue);
-  let ctx = Run.fresh_context prog in
-  List.iter (fun v -> Queue.push v ctx.Machine.input) input;
-  let outcome = Dbm.run ~fuel dbm cache ctx in
-  (match obs with
-   | Some o ->
-     Obs.set o "prof.coverage_insns" ctx.Machine.icount;
-     Obs.set o "prof.loops_covered" (Hashtbl.length loops);
-     (match outcome with
-      | `Out_of_fuel _ -> Obs.incr o "prof.truncated_runs"
-      | `Halted | `Yielded -> ())
-   | None -> ());
-  { total_insns = ctx.Machine.icount; loops }
-
-(* ------------------------------------------------------------------ *)
-(* Dependence profiling                                                *)
+(* Dependence profiles                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The shadow word-map at the heart of dependence detection: every
@@ -210,150 +117,144 @@ let dep_loop_ids deps =
   |> Hashtbl.fold (fun lid _ acc -> lid :: acc) deps.dep_found
   |> List.sort_uniq compare
 
-let run_dependence ?(fuel = 100_000_000) ?(input = []) ?obs image
-    (analysis : Analysis.t) =
-  let schedule = Rulegen.dependence_schedule analysis.Analysis.reports in
+(* ------------------------------------------------------------------ *)
+(* The training run                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* dependence state of one Ambiguous loop; accesses are attributed to
+   the loop named by their rule, so unrolled main/remainder pairs
+   sharing exits cannot interfere *)
+type dep_loop = { mutable iter : int; shadow : Shadow.t }
+
+let run ?(fuel = 100_000_000) ?(input = []) image (analysis : Analysis.t) =
+  let schedule =
+    Rulegen.profiling_schedule analysis.Analysis.cfg analysis.Analysis.reports
+  in
   let prog = Program.load image in
-  let dbm = Dbm.create ~schedule ?obs prog in
+  let dbm = Dbm.create ~schedule prog in
   let cache = Dbm.new_cache Dbm.Main in
+  let ctx = Run.fresh_context prog in
+  (* coverage: attribute instruction deltas to the innermost active loop *)
+  let loops = Hashtbl.create 16 in
+  let get lid =
+    match Hashtbl.find_opt loops lid with
+    | Some c -> c
+    | None ->
+      let c =
+        { self_insns = 0; invocations = 0; iterations = 0; ex_calls = 0;
+          ex_insns = 0; ex_reads = 0; ex_writes = 0 }
+      in
+      Hashtbl.replace loops lid c;
+      c
+  in
+  let active : int list ref = ref [] in
+  let last_mark = ref 0 in
+  let excall : (int * int) option ref = ref None in  (* lid, entry icount *)
+  let ex_reads = ref 0 and ex_writes = ref 0 in
+  let attribute () =
+    (match !active with
+     | lid :: _ ->
+       let c = get lid in
+       c.self_insns <- c.self_insns + (ctx.Machine.icount - !last_mark)
+     | [] -> ());
+    last_mark := ctx.Machine.icount
+  in
+  (* dependence: state for the Ambiguous loops only *)
+  let dep_loops : (int, dep_loop) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Loopanal.report) ->
+       match r.Loopanal.cls with
+       | Loopanal.Ambiguous _ ->
+         Hashtbl.replace dep_loops r.Loopanal.loop.Looptree.lid
+           { iter = 0; shadow = Shadow.create () }
+       | _ -> ())
+    analysis.Analysis.reports;
   let dep_found = Hashtbl.create 8 in
   let observed = Hashtbl.create 8 in
-  (* per-loop iteration counters and shadow word-maps; instrumented
-     accesses are attributed to the loop named by their rule, so
-     unrolled main/remainder pairs sharing exits cannot interfere *)
-  let iters : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let shadows : (int, Shadow.t) Hashtbl.t = Hashtbl.create 8 in
-  let active : int list ref = ref [] in
-  let shadow_of lid =
-    match Hashtbl.find_opt shadows lid with
-    | Some s -> s
-    | None ->
-      let s = Shadow.create () in
-      Hashtbl.replace shadows lid s;
-      s
-  in
+  let dep_active = ref 0 in  (* active Ambiguous loops *)
   let armed_addr = ref (-1) in
   let armed_lid = ref (-1) in
-  let observer (ctx : Machine.t) rw ~addr ~bytes =
-    if ctx.Machine.rip = !armed_addr && !armed_lid >= 0 then begin
-      let lid = !armed_lid in
-      let it = try Hashtbl.find iters lid with Not_found -> 0 in
-      let shadow = shadow_of lid in
-      Shadow.access shadow ~iter:it ~addr ~bytes ~write:(rw = Machine.Write);
-      if Shadow.found shadow then Hashtbl.replace dep_found lid true
-    end
+  (* one observer serves the external-call counters and the shadow
+     map, installed while either is live *)
+  let observe =
+    Some
+      (fun rw ~addr ~bytes ->
+         if Option.is_some !excall && addr < Janus_vx.Layout.tls_base 0
+         then begin
+           match rw with
+           | Machine.Read -> incr ex_reads
+           | Machine.Write -> incr ex_writes
+         end;
+         if !dep_active > 0 && ctx.Machine.rip = !armed_addr then begin
+           let d = Hashtbl.find dep_loops !armed_lid in
+           Shadow.access d.shadow ~iter:d.iter ~addr ~bytes
+             ~write:(rw = Machine.Write);
+           if Shadow.found d.shadow then
+             Hashtbl.replace dep_found !armed_lid true
+         end)
+  in
+  let sync_observer () =
+    ctx.Machine.observe <-
+      (if Option.is_some !excall || !dep_active > 0 then observe else None)
   in
   dbm.Dbm.on_event <-
-    (fun _ _ ctx r ->
+    (fun _ _ _ r ->
        let lid = Int64.to_int r.Rule.data in
        (match r.Rule.id with
-        | Rule.PROF_LOOP_START -> ()
+        | Rule.PROF_LOOP_START ->
+          (* entry is detected robustly at the first ITER instead: a
+             vectorised loop's remainder has its preheader inside the
+             vector loop, so START can fire per vector iteration *)
+          attribute ()
         | Rule.PROF_LOOP_ITER ->
-          if List.mem lid !active then
-            Hashtbl.replace iters lid
-              (1 + (try Hashtbl.find iters lid with Not_found -> 0))
-          else begin
-            (* loop entry: fresh iteration count and shadow state *)
-            active := lid :: !active;
-            Hashtbl.replace observed lid true;
-            Hashtbl.replace iters lid 0;
-            Shadow.reset (shadow_of lid);
-            if ctx.Machine.observe = None then
-              ctx.Machine.observe <- Some (observer ctx)
-          end
+          attribute ();
+          let c = get lid in
+          c.iterations <- c.iterations + 1;
+          let entering = not (List.mem lid !active) in
+          if entering then begin
+            c.invocations <- c.invocations + 1;
+            active := lid :: !active
+          end;
+          (match Hashtbl.find_opt dep_loops lid with
+           | Some d when entering ->
+             (* loop entry: fresh iteration count and shadow state *)
+             Hashtbl.replace observed lid true;
+             d.iter <- 0;
+             Shadow.reset d.shadow;
+             incr dep_active;
+             sync_observer ()
+           | Some d -> d.iter <- d.iter + 1
+           | None -> ())
         | Rule.PROF_LOOP_FINISH ->
-          active := List.filter (fun x -> x <> lid) !active;
-          if !active = [] then ctx.Machine.observe <- None
+          attribute ();
+          if List.mem lid !active && Hashtbl.mem dep_loops lid then begin
+            decr dep_active;
+            sync_observer ()
+          end;
+          active := List.filter (fun x -> x <> lid) !active
+        | Rule.PROF_EXCALL_START ->
+          let c = get lid in
+          c.ex_calls <- c.ex_calls + 1;
+          excall := Some (lid, ctx.Machine.icount);
+          ex_reads := 0;
+          ex_writes := 0;
+          sync_observer ()
+        | Rule.PROF_EXCALL_FINISH -> begin
+            match !excall with
+            | Some (lid', entry) ->
+              let c = get lid' in
+              c.ex_insns <- c.ex_insns + (ctx.Machine.icount - entry);
+              c.ex_reads <- c.ex_reads + !ex_reads;
+              c.ex_writes <- c.ex_writes + !ex_writes;
+              excall := None;
+              sync_observer ()
+            | None -> ()
+          end
         | Rule.PROF_MEM_ACCESS ->
           armed_addr := r.Rule.addr;
           armed_lid := lid
         | _ -> ());
        Dbm.Continue);
-  let ctx = Run.fresh_context prog in
   List.iter (fun v -> Queue.push v ctx.Machine.input) input;
-  let outcome = Dbm.run ~fuel dbm cache ctx in
-  (match obs with
-   | Some o ->
-     Obs.set o "prof.loops_observed" (Hashtbl.length observed);
-     Obs.set o "prof.deps_found" (Hashtbl.length dep_found);
-     (match outcome with
-      | `Out_of_fuel _ -> Obs.incr o "prof.truncated_runs"
-      | `Halted | `Yielded -> ())
-   | None -> ());
-  { dep_found; observed }
-
-(* ------------------------------------------------------------------ *)
-(* Profile serialisation (.jpf)                                        *)
-(*                                                                     *)
-(* The paper's deployment profiles offline on a training input; the    *)
-(* resulting data feeds loop selection when the schedule is generated. *)
-(* This format makes that workflow real for the CLI tools:             *)
-(* janus_prof -o app.jpf, then janus_analyze --profile app.jpf.        *)
-(* ------------------------------------------------------------------ *)
-
-let jpf_magic = "JPF1"
-
-let to_bytes (cov : coverage) (deps : deps) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b jpf_magic;
-  Buffer.add_int64_le b (Int64.of_int cov.total_insns);
-  (* union of loop ids appearing in either profile *)
-  let lids = Hashtbl.create 16 in
-  Hashtbl.iter (fun lid _ -> Hashtbl.replace lids lid ()) cov.loops;
-  Hashtbl.iter (fun lid _ -> Hashtbl.replace lids lid ()) deps.observed;
-  Hashtbl.iter (fun lid _ -> Hashtbl.replace lids lid ()) deps.dep_found;
-  let sorted =
-    List.sort compare (Hashtbl.fold (fun lid () acc -> lid :: acc) lids [])
-  in
-  Buffer.add_int32_le b (Int32.of_int (List.length sorted));
-  List.iter
-    (fun lid ->
-       let c = cov_of cov lid in
-       Buffer.add_int32_le b (Int32.of_int lid);
-       List.iter
-         (fun v -> Buffer.add_int64_le b (Int64.of_int v))
-         [ c.self_insns; c.invocations; c.iterations; c.ex_calls;
-           c.ex_insns; c.ex_reads; c.ex_writes ];
-       let flag tbl =
-         if (try Hashtbl.find tbl lid with Not_found -> false) then 1 else 0
-       in
-       Buffer.add_char b (Char.chr (flag deps.observed lor (flag deps.dep_found lsl 1))))
-    sorted;
-  Buffer.to_bytes b
-
-exception Bad_profile of string
-
-let of_bytes bytes =
-  let fail msg = raise (Bad_profile msg) in
-  if Bytes.length bytes < 16 then fail "truncated header";
-  if not (String.equal (Bytes.sub_string bytes 0 4) jpf_magic) then
-    fail "bad magic";
-  let total_insns = Int64.to_int (Bytes.get_int64_le bytes 4) in
-  let count = Int32.to_int (Bytes.get_int32_le bytes 12) in
-  let record = 4 + (7 * 8) + 1 in
-  if Bytes.length bytes < 16 + (count * record) then fail "truncated records";
-  let loops = Hashtbl.create (max 8 count) in
-  let observed = Hashtbl.create (max 8 count) in
-  let dep_found = Hashtbl.create (max 8 count) in
-  for i = 0 to count - 1 do
-    let off = 16 + (i * record) in
-    let lid = Int32.to_int (Bytes.get_int32_le bytes off) in
-    let field k = Int64.to_int (Bytes.get_int64_le bytes (off + 4 + (8 * k))) in
-    Hashtbl.replace loops lid
-      { self_insns = field 0; invocations = field 1; iterations = field 2;
-        ex_calls = field 3; ex_insns = field 4; ex_reads = field 5;
-        ex_writes = field 6 };
-    let flags = Char.code (Bytes.get bytes (off + 4 + 56)) in
-    if flags land 1 <> 0 then Hashtbl.replace observed lid true;
-    if flags land 2 <> 0 then Hashtbl.replace dep_found lid true
-  done;
-  ({ total_insns; loops }, { dep_found; observed })
-
-let save path cov deps =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_bytes oc (to_bytes cov deps))
-
-let load path =
-  of_bytes
-    (In_channel.with_open_bin path (fun ic ->
-         Bytes.of_string (In_channel.input_all ic)))
+  ignore (Dbm.run ~fuel dbm cache ctx);
+  ({ total_insns = ctx.Machine.icount; loops }, { dep_found; observed })

@@ -1,10 +1,10 @@
 (** Statically-driven profiling (§II-C).
 
-    The analyser's profiling rewrite schedules drive instrumentation
+    The analyser's profiling rewrite schedule drives instrumentation
     inside the same DBM that later parallelises the program: only the
     loops of interest are instrumented, and for dependence profiling
     only the accesses the static pass could not disambiguate — not all
-    loads and stores. *)
+    loads and stores. One training run yields both profiles. *)
 
 module Analysis = Janus_analysis.Analysis
 
@@ -42,13 +42,6 @@ val avg_work : coverage -> int -> float
     not canonical). *)
 val loop_ids : coverage -> int list
 
-(** Run the coverage-profiling schedule over a training input. [obs]
-    attaches a tracing/metrics sink to the profiling DBM; profile-level
-    [prof.*] counters are published into it after the run. *)
-val run_coverage :
-  ?fuel:int -> ?input:int64 list -> ?obs:Janus_obs.Obs.t ->
-  Janus_vx.Image.t -> Analysis.t -> coverage
-
 (** The shadow word-map behind dependence detection (§II-C): watched
     accesses are recorded word by word with the iteration that touched
     them; a word touched from two different iterations with at least
@@ -74,7 +67,7 @@ module Shadow : sig
   val found : t -> bool
 end
 
-(** Results of the memory-dependence profiling run. *)
+(** The dependence profile of a training run. *)
 type deps = {
   dep_found : (int, bool) Hashtbl.t;  (** loop id -> cross-iteration dep *)
   observed : (int, bool) Hashtbl.t;   (** loop id executed at all *)
@@ -87,30 +80,11 @@ val was_observed : deps -> int -> bool
     sorted ascending. *)
 val dep_loop_ids : deps -> int list
 
-(** Run the dependence-profiling schedule: a per-loop shadow word-map
-    flags accesses touching the same word in different iterations.
-    [obs] is as in {!run_coverage}. *)
-val run_dependence :
-  ?fuel:int -> ?input:int64 list -> ?obs:Janus_obs.Obs.t ->
-  Janus_vx.Image.t -> Analysis.t -> deps
-
-(** {1 Profile serialisation (.jpf)}
-
-    The paper's deployment profiles offline on a training input; the
-    data feeds loop selection when the schedule is generated. These
-    functions make that workflow real for the CLI tools
-    ([janus_prof -o app.jpf] then [janus_analyze --profile app.jpf]). *)
-
-exception Bad_profile of string
-
-val to_bytes : coverage -> deps -> bytes
-
-(** @raise Bad_profile on malformed input. *)
-val of_bytes : bytes -> coverage * deps
-
-(** Write both profiles to a [.jpf] file. *)
-val save : string -> coverage -> deps -> unit
-
-(** Read a [.jpf] file.
-    @raise Bad_profile on malformed input. *)
-val load : string -> coverage * deps
+(** The training run: interpret {!Janus_analysis.Rulegen.profiling_schedule}
+    over [input] under the DBM, for at most [fuel] dispatches, and
+    return its coverage and dependence profiles. Dependence state
+    exists only for Ambiguous loops, whose unresolved accesses are the
+    only ones watched. *)
+val run :
+  ?fuel:int -> ?input:int64 list -> Janus_vx.Image.t -> Analysis.t ->
+  coverage * deps

@@ -23,7 +23,6 @@ module Adapt = Janus_adapt.Adapt
 type config = {
   threads : int;
   force_policy : Desc.policy option;  (* override descriptors (ablation) *)
-  stm_access_limit : int;  (* speculative accesses before giving up *)
   stm_everywhere : bool;
   (* ablation of the paper's "use it sparingly" argument (§II-E2):
      wrap every worker chunk in a transaction, buffering all of its
@@ -32,8 +31,12 @@ type config = {
 }
 
 let default_config =
-  { threads = 8; force_policy = None; stm_access_limit = 4096;
-    stm_everywhere = false; fuel = 400_000_000 }
+  { threads = 8; force_policy = None; stm_everywhere = false;
+    fuel = 400_000_000 }
+
+(* a transaction buffering more accesses than this counts as an
+   overflow ([rt.stm_overflows]) *)
+let stm_access_limit = 4096
 
 type t = {
   dbm : Dbm.t;
@@ -654,7 +657,7 @@ let tx_finish t w (ctx : Machine.t) =
     let n_access =
       Hashtbl.length txn.Machine.treads + Hashtbl.length txn.Machine.twrites
     in
-    if n_access > t.config.stm_access_limit then t.stm_overflows <- t.stm_overflows + 1;
+    if n_access > stm_access_limit then t.stm_overflows <- t.stm_overflows + 1;
     (* value-based validation of every buffered read *)
     let valid =
       Hashtbl.fold

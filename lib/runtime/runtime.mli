@@ -22,7 +22,6 @@ module Adapt = Janus_adapt.Adapt
 type config = {
   threads : int;
   force_policy : Desc.policy option;  (** override descriptors (ablation) *)
-  stm_access_limit : int;  (** speculative accesses before flagging overflow *)
   stm_everywhere : bool;
       (** ablation: buffer every worker access transactionally instead
           of speculating only on discovered code (§II-E2) *)

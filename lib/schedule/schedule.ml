@@ -84,22 +84,39 @@ let to_bytes t =
   Buffer.add_bytes b t.data;
   Buffer.to_bytes b
 
+exception Bad_schedule of string
+
+let header_size = 13
+
 let of_bytes bytes =
-  let m = Bytes.sub_string bytes 0 4 in
-  if not (String.equal m magic) then failwith "Schedule.of_bytes: bad magic";
+  let fail fmt = Printf.ksprintf (fun m -> raise (Bad_schedule m)) fmt in
+  let len = Bytes.length bytes in
+  if len < header_size then fail "truncated header (%d bytes)" len;
+  if not (String.equal (Bytes.sub_string bytes 0 4) magic) then
+    fail "bad magic";
   let channel =
     match Char.code (Bytes.get bytes 4) with
     | 0 -> Profiling
     | 1 -> Parallelisation
-    | n -> failwith (Printf.sprintf "Schedule.of_bytes: bad channel %d" n)
+    | n -> fail "bad channel %d" n
   in
   let nrules = Int32.to_int (Bytes.get_int32_le bytes 5) in
   let data_len = Int32.to_int (Bytes.get_int32_le bytes 9) in
-  let rules =
-    List.init nrules (fun i -> Rule.read bytes (13 + (i * Rule.record_size)))
+  if nrules < 0 || nrules > (len - header_size) / Rule.record_size then
+    fail "rule count %d does not fit in %d bytes" nrules len;
+  let data_off = header_size + (nrules * Rule.record_size) in
+  if data_len <> len - data_off then
+    fail "length %d, but the header describes %d bytes" len
+      (data_off + data_len);
+  let rule i =
+    let off = header_size + (i * Rule.record_size) in
+    let id = Char.code (Bytes.get bytes (off + 4)) in
+    match Rule.read bytes off with
+    | r -> r
+    | exception Invalid_argument _ -> fail "rule %d: unknown rule id %d" i id
   in
-  let data = Bytes.sub bytes (13 + (nrules * Rule.record_size)) data_len in
-  { channel; rules; data }
+  { channel; rules = List.init nrules rule;
+    data = Bytes.sub bytes data_off data_len }
 
 (** Schedule size in bytes — the numerator of Fig. 10. *)
 let size t = Bytes.length (to_bytes t)

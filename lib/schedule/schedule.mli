@@ -44,6 +44,16 @@ val index : t -> (int, Rule.t list) Hashtbl.t
 (** {1 Serialisation} *)
 
 val to_bytes : t -> bytes
+
+exception Bad_schedule of string
+
+(** Decode {!to_bytes}'s layout: a 13-byte header (magic, channel, rule
+    count, data length), the fixed-length rules, then exactly the data
+    section. Descriptors are not decoded here ({!Janus_verify.Verify}
+    owns their validity).
+    @raise Bad_schedule on a bad magic or channel, a rule count the
+    buffer cannot hold, an unknown rule id or a total length that
+    disagrees with the header — and on nothing else. *)
 val of_bytes : bytes -> t
 
 (** Schedule size in bytes — the numerator of Fig. 10. *)

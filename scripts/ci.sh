@@ -112,6 +112,9 @@ grep -Eq '^pipeline\.cache\.hits +[1-9]' "$work/served.metrics"
 grep -Eq '^pgo\.ingested +1$' "$work/served.metrics"
 grep -Eq '^pgo\.runs +[1-9]' "$work/served.metrics"
 grep -Eq '^pgo\.store\.errors +0$' "$work/served.metrics"
+# one training run per binary profiled: bwaves, and adv.alias before its
+# evidence arrived
+grep -Eq '^pipeline\.cache\.profile\.misses +2$' "$work/served.metrics"
 stop_daemon
 
 # a restarted daemon over the same directories answers both binaries
@@ -124,6 +127,7 @@ schedule alias_restart adv.alias
 cmp "$work/alias_after.jrs" "$work/alias_restart.jrs"
 served metrics > "$work/restart.metrics"
 grep -Eq '^pipeline\.cache\.verified\.misses +0$' "$work/restart.metrics"
+grep -Eq '^pipeline\.cache\.misses +0$' "$work/restart.metrics"
 stop_daemon
 
 echo "== differential fuzz smokes =="

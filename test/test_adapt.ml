@@ -323,8 +323,8 @@ let test_adv_stable_unchanged_by_governor () =
    | None -> Alcotest.fail "governor missing")
 
 (* ------------------------------------------------------------------ *)
-(* Training-free mode end-to-end (run_scheduled = deployment without   *)
-(* a .jpf)                                                             *)
+(* Training-free mode end-to-end (run_scheduled = deployment with the  *)
+(* schedule shipped alone)                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_training_free_commits_parallel () =

@@ -319,8 +319,8 @@ let test_nested_loops_outer () =
 let test_schedule_generation () =
   let img = compile doall_src in
   let t = Analysis.analyse_image img in
-  let cov = Rulegen.coverage_schedule t.Analysis.cfg t.Analysis.reports in
-  Alcotest.(check bool) "coverage schedule has rules" true
+  let cov = Rulegen.profiling_schedule t.Analysis.cfg t.Analysis.reports in
+  Alcotest.(check bool) "profiling schedule has rules" true
     (List.length cov.Janus_schedule.Schedule.rules > 0);
   (* serialisation round-trip *)
   let cov' =

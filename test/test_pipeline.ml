@@ -117,8 +117,44 @@ let test_publish_metrics_counters () =
   Alcotest.(check int) "per-kind counters sum to the total"
     (c "pipeline.cache.hits")
     (c "pipeline.cache.image.hits" + c "pipeline.cache.analysis.hits"
-     + c "pipeline.cache.coverage.hits" + c "pipeline.cache.deps.hits"
+     + c "pipeline.cache.profile.hits"
      + c "pipeline.cache.schedule.hits" + c "pipeline.cache.verified.hits")
+
+(* both profiles come from one training run cached as one [profile]
+   artifact: a config asking for either half reuses the run, and one
+   asking for neither runs nothing *)
+let test_one_training_run () =
+  let store = Pipeline.store () in
+  let img = Pipeline.compile ~store kernel in
+  let analysis = Pipeline.analyse ~store img in
+  let profile cfg =
+    Pipeline.profile ~store ~cfg ~train_input:[] img analysis
+  in
+  let counts () =
+    let k =
+      List.find
+        (fun k -> k.Pipeline.k_kind = "profile")
+        (Pipeline.kind_stats store)
+    in
+    (k.Pipeline.k_mem_hits, k.Pipeline.k_misses)
+  in
+  let c = Alcotest.(check (pair int int)) in
+  (match profile (Janus.config ~use_profile:false ~use_checks:false ()) with
+   | None, None -> c "neither half: nothing run" (0, 0) (counts ())
+   | _ -> Alcotest.fail "neither half asked, a profile returned");
+  let cov, deps =
+    match profile (Janus.config ()) with
+    | Some cov, Some deps -> (cov, deps)
+    | _ -> Alcotest.fail "the default config asks for both halves"
+  in
+  c "one run for both halves" (0, 1) (counts ());
+  (match profile (Janus.config ~use_checks:false ()) with
+   | Some cov', None -> Alcotest.(check bool) "same coverage" true (cov' == cov)
+   | _ -> Alcotest.fail "coverage only");
+  (match profile (Janus.config ~use_profile:false ()) with
+   | None, Some deps' -> Alcotest.(check bool) "same deps" true (deps' == deps)
+   | _ -> Alcotest.fail "deps only");
+  c "each half alone reuses the run" (2, 1) (counts ())
 
 (* ---- the persistent layer ---- *)
 
@@ -594,6 +630,8 @@ let tests =
       test_compile_key_includes_options;
     Alcotest.test_case "publish_metrics matches cache_stats" `Quick
       test_publish_metrics_counters;
+    Alcotest.test_case "one training run serves both profiles" `Quick
+      test_one_training_run;
     Alcotest.test_case "parallel harness = sequential harness" `Quick
       test_parallel_harness_matches_sequential;
     Alcotest.test_case "persistent store round-trips across processes" `Quick

@@ -1,6 +1,6 @@
-(* Unit tests for the statically-driven profilers: coverage counters
+(* Unit tests for the statically-driven profiler: coverage counters
    (invocations, iterations, attributed work, external-call footprints)
-   and the dependence profiler's shadow-map semantics, on guests whose
+   and the dependence profile's shadow-map semantics, on guests whose
    ground truth is known by construction. *)
 
 open Janus_jcc
@@ -14,7 +14,7 @@ let compile src = Jcc.compile src
 let profile src =
   let img = compile src in
   let t = Analysis.analyse_image img in
-  let cov = Profiler.run_coverage img t in
+  let cov, _ = Profiler.run img t in
   (img, t, cov)
 
 (* the report of the innermost loop matching [pred] *)
@@ -178,13 +178,13 @@ let test_excall_footprint_counted () =
   Alcotest.(check bool) "reads its tables" true (c.Profiler.ex_reads > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Dependence profiling                                                *)
+(* Dependence profile                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let run_deps ?(input = []) src =
   let img = compile src in
   let t = Analysis.analyse_image img in
-  (t, Profiler.run_dependence ~input img t)
+  (t, snd (Profiler.run ~input img t))
 
 (* statically invisible aliasing: the write offset comes from input, so
    neither the guest compiler nor the binary analyser can disprove
@@ -290,71 +290,9 @@ let test_observed_tracks_execution () =
          (Profiler.has_dep deps (lid r)))
     unobserved
 
-(* ------------------------------------------------------------------ *)
-(* .jpf serialisation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_jpf_roundtrip () =
-  let src =
-    "double a[2048];\n\
-     int main() {\n\
-     \  double *p = alloc_double(512);\n\
-     \  int off = read_int();\n\
-     \  for (int i = 0; i < 2048; i++) { a[i] = a[i] * 2.0 + 1.0; }\n\
-     \  for (int i = 0; i < 256; i++) { p[i+off] = p[i] + 1.0; }\n\
-     \  print_float(a[0] + p[0]);\n\
-     \  return 0;\n\
-     }"
-  in
-  let img = compile src in
-  let t = Analysis.analyse_image img in
-  let cov = Profiler.run_coverage ~input:[ 8L ] img t in
-  let deps = Profiler.run_dependence ~input:[ 8L ] img t in
-  let cov', deps' = Profiler.of_bytes (Profiler.to_bytes cov deps) in
-  Alcotest.(check int) "total insns" cov.Profiler.total_insns
-    cov'.Profiler.total_insns;
-  (* every counter survives for every loop of the analysis *)
-  List.iter
-    (fun (r : Loopanal.report) ->
-       let l = lid r in
-       let a = Profiler.cov_of cov l and b = Profiler.cov_of cov' l in
-       Alcotest.(check int) "self_insns" a.Profiler.self_insns
-         b.Profiler.self_insns;
-       Alcotest.(check int) "invocations" a.Profiler.invocations
-         b.Profiler.invocations;
-       Alcotest.(check int) "iterations" a.Profiler.iterations
-         b.Profiler.iterations;
-       Alcotest.(check int) "ex_calls" a.Profiler.ex_calls b.Profiler.ex_calls;
-       Alcotest.(check bool) "observed" (Profiler.was_observed deps l)
-         (Profiler.was_observed deps' l);
-       Alcotest.(check bool) "dep" (Profiler.has_dep deps l)
-         (Profiler.has_dep deps' l))
-    t.Analysis.reports
-
-let test_jpf_rejects_garbage () =
-  Alcotest.(check bool) "bad magic" true
-    (try
-       ignore (Profiler.of_bytes (Bytes.of_string "NOTAPROFILE_____"));
-       false
-     with Profiler.Bad_profile _ -> true);
-  Alcotest.(check bool) "truncated" true
-    (try
-       ignore (Profiler.of_bytes (Bytes.of_string "JPF1"));
-       false
-     with Profiler.Bad_profile _ -> true);
-  (* a record count pointing past the end *)
-  let b = Buffer.create 32 in
-  Buffer.add_string b "JPF1";
-  Buffer.add_int64_le b 1000L;
-  Buffer.add_int32_le b 99l;
-  Alcotest.(check bool) "short records" true
-    (try
-       ignore (Profiler.of_bytes (Buffer.to_bytes b));
-       false
-     with Profiler.Bad_profile _ -> true)
-
-(* the offline workflow (save profile, reload, select) must make the
-   same decisions as the in-process pipeline *)
+(* the offline workflow (collect into a profile store, read its
+   evidence back, select) must make the same decisions as the in-process
+   pipeline *)
 let test_offline_selection_matches () =
   let src =
     "double x[8192]; double y[16];\n\
@@ -369,9 +307,15 @@ let test_offline_selection_matches () =
   in
   let img = compile src in
   let t = Analysis.analyse_image img in
-  let cov = Profiler.run_coverage img t in
-  let deps = Profiler.run_dependence img t in
-  let cov', deps' = Profiler.of_bytes (Profiler.to_bytes cov deps) in
+  let cov, deps = Profiler.run img t in
+  let e =
+    Test_pipeline.with_temp_dir @@ fun dir ->
+    let store = Janus_pgo.Pgo.Store.open_ dir in
+    ignore (Janus_pgo.Pgo.collect ~store ~input:[] img);
+    Option.get
+      (Janus_pgo.Pgo.Store.evidence_for store
+         ~image:(Janus_core.Pipeline.image_key img))
+  in
   let cfg = Janus_core.Janus.config () in
   let sel ~coverage ~deps =
     let s = Janus_core.Janus.select ~cfg t ~coverage ~deps in
@@ -379,7 +323,8 @@ let test_offline_selection_matches () =
   in
   Alcotest.(check (list int)) "same loops chosen"
     (sel ~coverage:(Some cov) ~deps:(Some deps))
-    (sel ~coverage:(Some cov') ~deps:(Some deps'));
+    (sel ~coverage:e.Janus_core.Pipeline.ev_coverage
+       ~deps:e.Janus_core.Pipeline.ev_deps);
   (* and the profile filters do reject the cold 16-element loop *)
   let chosen = sel ~coverage:(Some cov) ~deps:(Some deps) in
   let all = sel ~coverage:None ~deps:(Some deps) in
@@ -412,8 +357,6 @@ let tests =
       test_same_iteration_reuse_not_dep;
     Alcotest.test_case "observed tracks execution" `Quick
       test_observed_tracks_execution;
-    Alcotest.test_case "jpf roundtrip" `Quick test_jpf_roundtrip;
-    Alcotest.test_case "jpf rejects garbage" `Quick test_jpf_rejects_garbage;
     Alcotest.test_case "offline selection matches" `Quick
       test_offline_selection_matches;
     Alcotest.test_case "total insns positive" `Quick test_total_insns_positive;

@@ -350,21 +350,72 @@ let prop_schedule_bytes_fixpoint =
 
 (* corrupt input must fail loudly, not silently misparse *)
 let test_corrupt_schedule_rejected () =
-  Alcotest.(check bool) "bad magic" true
-    (try
-       ignore (Schedule.of_bytes (Bytes.of_string "NOPE\000\000\000\000"));
-       false
-     with _ -> true);
-  (* truncated rule area *)
+  let rejected what bytes =
+    Alcotest.(check bool) what true
+      (match Schedule.of_bytes bytes with
+       | _ -> false
+       | exception Schedule.Bad_schedule _ -> true)
+  in
+  rejected "bad magic" (Bytes.of_string "NOPE\000\000\000\000\000\000\000\000\000");
+  rejected "3-byte file" (Bytes.of_string "JRS");
   let b = Schedule.builder Schedule.Parallelisation in
   Schedule.add_rule b (Rule.make ~addr:0x400100 Rule.LOOP_INIT);
   let bytes = Schedule.to_bytes (Schedule.build b) in
-  let truncated = Bytes.sub bytes 0 (Bytes.length bytes - 5) in
-  Alcotest.(check bool) "truncated" true
-    (try
-       ignore (Schedule.of_bytes truncated);
-       false
-     with _ -> true)
+  rejected "truncated" (Bytes.sub bytes 0 (Bytes.length bytes - 5));
+  rejected "trailing byte" (Bytes.cat bytes (Bytes.make 1 '\000'));
+  let with_byte off c =
+    let b = Bytes.copy bytes in
+    Bytes.set b off c;
+    b
+  in
+  rejected "bad channel" (with_byte 4 '\002');
+  rejected "unknown rule id" (with_byte 17 '\255');
+  let count = Bytes.copy bytes in
+  Bytes.set_int32_le count 5 0xffffffffl;
+  rejected "rule count 0xffffffff" count
+
+(* real schedules: each suite program's default-config schedule, and
+   adv.fission's under fission, with their encodings *)
+let suite_schedules =
+  lazy
+    (List.map
+       (fun (b, cfg) ->
+          let s =
+            (Janus_core.Janus.prepare ~cfg
+               ~train_input:(Janus_suite.Suite.train_input b)
+               (Janus_suite.Suite.compile b))
+              .Janus_core.Janus.p_schedule
+          in
+          (s, Schedule.to_bytes s))
+       ((Janus_suite.Suite.adv_fission, Janus_core.Janus.config ~fission:true ())
+        :: List.map
+             (fun b -> (b, Janus_core.Janus.config ()))
+             Janus_core.Eval.nine))
+
+(* [of_bytes] is total: a truncated or byte-mutated real schedule either
+   decodes, to a schedule that re-encodes to exactly those bytes, or
+   raises [Bad_schedule]; the originals round-trip *)
+let prop_of_bytes_total =
+  QCheck2.Test.make ~count:400
+    ~name:"of_bytes raises only Bad_schedule under truncation and mutation"
+    QCheck2.Gen.(
+      triple (int_bound 1000)
+        (oneof [ int_bound 33; int_bound 100_000 ])
+        (int_range 0 255))
+    (fun (which, where, mask) ->
+       let schedules = Lazy.force suite_schedules in
+       let s, good = List.nth schedules (which mod List.length schedules) in
+       let k = where mod Bytes.length good in
+       let mutated = Bytes.copy good in
+       Bytes.set mutated k (Char.chr (Char.code (Bytes.get good k) lxor mask));
+       let canonical b =
+         match Schedule.of_bytes b with
+         | s' -> Bytes.equal (Schedule.to_bytes s') b
+         | exception Schedule.Bad_schedule _ -> true
+       in
+       Schedule.of_bytes good = s
+       && canonical (Bytes.sub good 0 k)
+       && canonical mutated)
 
 let test_corrupt_image_rejected () =
   Alcotest.(check bool) "bad image magic" true
@@ -408,4 +459,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_rule_roundtrip;
     QCheck_alcotest.to_alcotest prop_schedule_roundtrip;
     QCheck_alcotest.to_alcotest prop_schedule_bytes_fixpoint;
+    QCheck_alcotest.to_alcotest prop_of_bytes_total;
   ]

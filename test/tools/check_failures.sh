@@ -20,8 +20,8 @@ grep -q "option '--scale' needs an argument" noval_run.out ||
   fail "janus_run missing --scale value not diagnosed"
 grep -q "option '--scale' needs an argument" noval_prof.out ||
   fail "janus_prof missing --scale value not diagnosed"
-grep -q "option '--profile' needs an argument" noval_analyze.out ||
-  fail "janus_analyze missing --profile value not diagnosed"
+grep -q "option '--profile-dir' needs an argument" noval_analyze.out ||
+  fail "janus_analyze missing --profile-dir value not diagnosed"
 grep -q "option '-o' needs an argument" noval_jcc.out ||
   fail "jcc missing -o value not diagnosed"
 grep -q "option '--store-dir' needs an argument" noval_eval.out ||
@@ -31,9 +31,24 @@ grep -q "option '--socket' needs an argument" noval_served.out ||
 grep -q "option '--bench' needs an argument" noval_pgo.out ||
   fail "janus_pgo missing --bench value not diagnosed"
 
+grep -q "janus_analyze: empty holds no profile for smoke.jx" noprof_analyze.out ||
+  fail "janus_analyze did not report a store without the binary's profile"
+
+# a 3-byte file is not a schedule: one line naming it, for every reader
+grep -q "jrs_dump: short.jrs is not a rewrite schedule" badsched_dump.out ||
+  fail "jrs_dump did not report a malformed schedule"
+grep -q "janus_verify: short.jrs is not a readable JRS schedule" \
+  badsched_verify.out || fail "jverify did not report a malformed schedule"
+grep -q "janus_run: short.jrs is not a rewrite schedule" badsched_run.out ||
+  fail "janus_run did not report a malformed schedule"
+for f in badsched_dump.out badsched_verify.out badsched_run.out; do
+  [ "$(wc -l < "$f")" -eq 1 ] || fail "$f is not a one-line diagnostic"
+done
+
 for f in fuel_fail.out badargs.out badexp.out noval_run.out noval_prof.out \
          noval_analyze.out noval_jcc.out noval_eval.out noval_served.out \
-         noval_pgo.out; do
+         noval_pgo.out noprof_analyze.out badsched_dump.out \
+         badsched_verify.out badsched_run.out; do
   grep -qi "Raised at\|Backtrace\|Fatal error" "$f" &&
     fail "$f contains a backtrace" || true
 done
