@@ -356,7 +356,8 @@ let test_corrupt_schedule_rejected () =
        | _ -> false
        | exception Schedule.Bad_schedule _ -> true)
   in
-  rejected "bad magic" (Bytes.of_string "NOPE\000\000\000\000\000\000\000\000\000");
+  rejected "bad magic"
+    (Bytes.of_string "NOPE\000\000\000\000\000\000\000\000\000");
   rejected "3-byte file" (Bytes.of_string "JRS");
   let b = Schedule.builder Schedule.Parallelisation in
   Schedule.add_rule b (Rule.make ~addr:0x400100 Rule.LOOP_INIT);
@@ -374,8 +375,8 @@ let test_corrupt_schedule_rejected () =
   Bytes.set_int32_le count 5 0xffffffffl;
   rejected "rule count 0xffffffff" count
 
-(* real schedules: each suite program's default-config schedule, and
-   adv.fission's under fission, with their encodings *)
+(* real schedules: the nine parallelisable programs' default-config
+   schedules and adv.fission's under fission, with their encodings *)
 let suite_schedules =
   lazy
     (List.map
