@@ -99,11 +99,7 @@ let report image ~evidence schedule_out disasm verify fission depgraph
 
 let analyse input schedule_out disasm profile_dir verify fission depgraph
     dot_dir =
-  let bytes =
-    In_channel.with_open_bin input (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  let image = Janus_vx.Image.of_bytes bytes in
+  let image = Cli.read_image ~tool:"janus_analyze" input in
   let stored dir =
     Pgo.Store.evidence_for (Pgo.Store.open_ dir)
       ~image:(Pipeline.image_key image)

@@ -9,11 +9,7 @@ module Pgo = Janus_pgo.Pgo
 module Pipeline = Janus_core.Pipeline
 
 let profile input scale emit_profile =
-  let bytes =
-    In_channel.with_open_bin input (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  let image = Janus_vx.Image.of_bytes bytes in
+  let image = Cli.read_image ~tool:"janus_prof" input in
   let t = Analysis.analyse_image image in
   let inp = [ Int64.of_int scale ] in
   let cov, deps = Profiler.run ~input:inp image t in

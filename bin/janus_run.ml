@@ -34,14 +34,7 @@ let print_obs obs ~trace_summary ~metrics =
 let run input mode threads scale train_scale schedule_file prefetch fission
     model_cache fuel trace_out trace_jsonl trace_summary metrics adapt
     adapt_report emit_profile =
-  let bytes =
-    In_channel.with_open_bin input (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  match Janus_vx.Image.of_bytes bytes with
-  | exception (Failure msg | Invalid_argument msg) ->
-    die exit_bad_input "%s is not a JX binary: %s" input msg
-  | image ->
+  let image = Cli.read_image ~tool:"janus_run" input in
   let inp = [ Int64.of_int scale ] in
   let tracing = trace_out <> None || trace_jsonl <> None || trace_summary in
   let adapt = adapt || adapt_report <> None || emit_profile <> None in
@@ -53,11 +46,7 @@ let run input mode threads scale train_scale schedule_file prefetch fission
     match schedule_file with
     | None -> Ok None
     | Some path -> begin
-        match
-          In_channel.with_open_bin path (fun ic ->
-              Janus_schedule.Schedule.of_bytes
-                (Bytes.of_string (In_channel.input_all ic)))
-        with
+        match Janus_schedule.Schedule.of_bytes (Cli.read_file path) with
         | sched -> Ok (Some sched)
         | exception Janus_schedule.Schedule.Bad_schedule msg ->
           Error (die exit_bad_input "%s is not a rewrite schedule: %s" path msg)

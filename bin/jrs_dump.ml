@@ -19,13 +19,6 @@ module Desc = Janus_schedule.Desc
 module Rexpr = Janus_schedule.Rexpr
 open Janus_vx
 
-let read_schedule path =
-  let bytes =
-    In_channel.with_open_bin path (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  Schedule.of_bytes bytes
-
 let pp_location ppf = function
   | Desc.Lreg r -> Reg.pp_gp ppf r
   | Desc.Lfreg r -> Reg.pp_fp ppf r
@@ -139,11 +132,15 @@ let pp_rule sched ppf (r : Rule.t) =
    | _ -> Fmt.pf ppf " loop %Ld@." r.Rule.data)
 
 let dump input binary verify =
-  match read_schedule input with
+  match Schedule.of_bytes (Cli.read_file input) with
   | exception Schedule.Bad_schedule msg ->
     Fmt.epr "jrs_dump: %s is not a rewrite schedule: %s@." input msg;
     2
   | sched ->
+  (* an unusable binary is reported before any of the dump is printed *)
+  let binary =
+    Option.map (fun bin -> (bin, Cli.read_image ~tool:"jrs_dump" bin)) binary
+  in
   let channel =
     match sched.Schedule.channel with
     | Schedule.Profiling -> "profiling"
@@ -175,12 +172,7 @@ let dump input binary verify =
       Fmt.epr "jrs_dump: --verify needs --binary BIN.jx@.";
       2)
     else 0
-  | Some bin ->
-    let image =
-      Janus_vx.Image.of_bytes
-        (In_channel.with_open_bin bin (fun ic ->
-             Bytes.of_string (In_channel.input_all ic)))
-    in
+  | Some (bin, image) ->
     if verify then begin
       let findings = Janus_verify.Verify.lint image sched in
       Fmt.pr "@.verification against %s:@." bin;

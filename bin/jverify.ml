@@ -20,23 +20,17 @@ module Analysis = Janus_analysis.Analysis
 module Verify = Janus_verify.Verify
 module Schedule = Janus_schedule.Schedule
 
-let read_bytes path =
-  In_channel.with_open_bin path (fun ic ->
-      Bytes.of_string (In_channel.input_all ic))
-
-(* corrupt inputs are an expected condition for a verifier, not an
-   internal error: report them cleanly instead of escaping to cmdliner *)
-let load what path decode =
-  match decode (read_bytes path) with
-  | v -> v
-  | exception
-      (Failure msg | Invalid_argument msg | Schedule.Bad_schedule msg) ->
-    Fmt.epr "janus_verify: %s is not a readable %s (%s)@." path what msg;
-    exit 2
-
 let run bin jrs do_crosscheck quiet =
-  let image = load "JX executable" bin Janus_vx.Image.of_bytes in
-  let sched = load "JRS schedule" jrs Schedule.of_bytes in
+  let image = Cli.read_image ~tool:"janus_verify" bin in
+  (* a corrupt schedule is an expected condition for a verifier, not an
+     internal error: report it cleanly instead of escaping to cmdliner *)
+  let sched =
+    match Schedule.of_bytes (Cli.read_file jrs) with
+    | sched -> sched
+    | exception Schedule.Bad_schedule msg ->
+      Fmt.epr "janus_verify: %s is not a readable JRS schedule (%s)@." jrs msg;
+      exit 2
+  in
   let findings = Verify.lint image sched in
   let findings =
     if do_crosscheck then

@@ -16,13 +16,6 @@ module Loopanal = Janus_analysis.Loopanal
 module Looptree = Janus_analysis.Looptree
 open Janus_vx
 
-let read_image path =
-  let bytes =
-    In_channel.with_open_bin path (fun ic ->
-        Bytes.of_string (In_channel.input_all ic))
-  in
-  Image.of_bytes bytes
-
 let pp_headers ppf (img : Image.t) =
   Fmt.pf ppf "JX executable, %d bytes@." (Image.size img);
   Fmt.pf ppf "  entry   0x%x@." img.Image.entry;
@@ -87,7 +80,7 @@ let pp_func marks ppf (f : Cfg.func) =
     f.Cfg.excall_sites
 
 let objdump headers_only no_loops input =
-  let img = read_image input in
+  let img = Cli.read_image ~tool:"jx_objdump" input in
   Fmt.pr "%a" pp_headers img;
   if not headers_only then begin
     let t = Analysis.analyse_image img in

@@ -17,27 +17,32 @@
       produced by [Layout]) falls back to a linear walk with exactly
       the list representation's semantics.
 
-    - {b Lazily materialised backing}: a region's architectural size
-      (what bounds checks and faults see) is fixed at creation, but
-      its zero-filled backing bytes grow on first touch. The 16 MiB
-      heap no longer costs a 16 MiB memset per program load — untouched
-      pages are never allocated or zeroed, and the prefix that is
-      materialised is identical (zeros) to the eager representation. *)
+    - {b Windowed backing}: a region's architectural size (what bounds
+      checks and faults see) is fixed at creation, but its zero-filled
+      backing bytes are a window that opens where the guest first
+      touches the region and grows towards later touches, in either
+      direction. The 16 MiB heap costs no 16 MiB memset per program
+      load, and a stack, first touched at its top, costs no zero-fill
+      of the megabyte below it. Bytes outside the window read as the
+      zeros they would hold in an eager, fully allocated region. *)
 
 exception Fault of int  (* faulting guest address *)
 
 type region = {
   start : int;
   size : int;              (* architectural size: bounds and faults *)
-  mutable bytes : Bytes.t; (* materialised zero-filled prefix, <= size *)
+  mutable base : int;      (* guest address of bytes.(0) *)
+  mutable bytes : Bytes.t; (* window [base, base + length) of the region *)
   name : string;
 }
 
 let page_bits = 16
-let chunk = 1 lsl page_bits  (* materialisation granule *)
+let granule = 4096  (* a window grows to granule-aligned bounds *)
 
-(* sentinel for unmapped pages: no address satisfies its bounds *)
-let no_region = { start = -1; size = 0; bytes = Bytes.empty; name = "" }
+(* sentinel for unmapped pages: no address satisfies its bounds, and
+   its empty window fails every fast-path test *)
+let no_region =
+  { start = -1; size = 0; base = -1; bytes = Bytes.empty; name = "" }
 
 type t = {
   mutable regions : region list;
@@ -55,7 +60,7 @@ let grow_pages t wanted =
   end
 
 let add_region t ~name ~start ~size =
-  let r = { start; size; bytes = Bytes.empty; name } in
+  let r = { start; size; base = start; bytes = Bytes.empty; name } in
   t.regions <- r :: t.regions;
   if size > 0 && start >= 0 then begin
     let first = start lsr page_bits in
@@ -69,15 +74,28 @@ let add_region t ~name ~start ~size =
   end;
   r
 
-(** Grow [r]'s backing so its first [upto] bytes are materialised
-    (zero-filled); [upto] must be within the architectural size. *)
-let materialize r upto =
-  if upto > Bytes.length r.bytes then begin
-    let target =
-      min r.size (max upto (max chunk (2 * Bytes.length r.bytes)))
+(* Widen [r]'s window to cover the guest range [lo, hi), which the
+   caller has bounds-checked against the region. The new bounds are
+   rounded out to the granule and clipped to the region; a window that
+   grows at least doubles on the side it grows, so a guest that walks
+   a stack down copies a linear number of bytes in total. Old bytes
+   keep their guest addresses. *)
+let cover r lo hi =
+  let len = Bytes.length r.bytes in
+  if lo < hi && (lo < r.base || hi > r.base + len) then begin
+    let lo' = lo land lnot (granule - 1) in
+    let hi' = (hi + granule - 1) land lnot (granule - 1) in
+    let nlo, nhi =
+      if len = 0 then (lo', hi')
+      else
+        ((if lo < r.base then min lo' (r.base - len) else r.base),
+         if hi > r.base + len then max hi' (r.base + (2 * len))
+         else r.base + len)
     in
-    let nb = Bytes.make target '\000' in
-    Bytes.blit r.bytes 0 nb 0 (Bytes.length r.bytes);
+    let nlo = max r.start nlo and nhi = min (r.start + r.size) nhi in
+    let nb = Bytes.make (nhi - nlo) '\000' in
+    if len > 0 then Bytes.blit r.bytes 0 nb (r.base - nlo) len;
+    r.base <- nlo;
     r.bytes <- nb
   end
 
@@ -101,45 +119,40 @@ let region_of t addr =
 let region_by_name t name =
   List.find_opt (fun r -> String.equal r.name name) t.regions
 
-(** [check t addr n] faults unless [addr..addr+n-1] lies in one region. *)
-let check t addr n =
+(* The region holding all of [addr..addr+n-1], its window covering the
+   range: Fault addr when no region contains addr, Fault (addr+n-1)
+   when the range hangs over the region's end. *)
+let covering t addr n =
   let r = region_of t addr in
-  if addr + n > r.start + r.size then raise (Fault (addr + n - 1))
+  if addr + n > r.start + r.size then raise (Fault (addr + n - 1));
+  cover r addr (addr + n);
+  r
 
 let read_u8 t addr =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  materialize r (off + 1);
-  Char.code (Bytes.get r.bytes off)
+  let r = covering t addr 1 in
+  Char.code (Bytes.get r.bytes (addr - r.base))
 
 let write_u8 t addr v =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  materialize r (off + 1);
-  Bytes.set r.bytes off (Char.chr (v land 0xff))
+  let r = covering t addr 1 in
+  Bytes.set r.bytes (addr - r.base) (Char.chr (v land 0xff))
 
 (* The 64-bit accessors are the interpreter's hottest memory path: one
-   page-table load, one bounds compare against the materialised prefix,
-   then the access. Anything else — negative offset, unmaterialised
-   page, region tail, unmapped address — takes the slow path, which
+   page-table load, one bounds compare against the region's window,
+   then the access. Anything else (an address outside the window, a
+   region tail, an unmapped address) takes the slow path, which
    reproduces the original two-step semantics exactly (Fault addr when
    no region contains addr, Fault (addr+7) when the word hangs over a
-   region's end). *)
+   region's end) and widens the window. *)
 
 let read_i64_slow t addr =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  if off + 8 <= r.size then begin
-    materialize r (off + 8);
-    Bytes.get_int64_le r.bytes off
-  end
-  else raise (Fault (addr + 7))
+  let r = covering t addr 8 in
+  Bytes.get_int64_le r.bytes (addr - r.base)
 
 let read_i64 t addr =
   let p = addr lsr page_bits in
   if p < Array.length t.pages then begin
     let r = Array.unsafe_get t.pages p in
-    let off = addr - r.start in
+    let off = addr - r.base in
     if off >= 0 && off + 8 <= Bytes.length r.bytes then
       Bytes.get_int64_le r.bytes off
     else read_i64_slow t addr
@@ -147,19 +160,14 @@ let read_i64 t addr =
   else read_i64_slow t addr
 
 let write_i64_slow t addr v =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  if off + 8 <= r.size then begin
-    materialize r (off + 8);
-    Bytes.set_int64_le r.bytes off v
-  end
-  else raise (Fault (addr + 7))
+  let r = covering t addr 8 in
+  Bytes.set_int64_le r.bytes (addr - r.base) v
 
 let write_i64 t addr v =
   let p = addr lsr page_bits in
   if p < Array.length t.pages then begin
     let r = Array.unsafe_get t.pages p in
-    let off = addr - r.start in
+    let off = addr - r.base in
     if off >= 0 && off + 8 <= Bytes.length r.bytes then
       Bytes.set_int64_le r.bytes off v
     else write_i64_slow t addr v
@@ -170,17 +178,11 @@ let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
 let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
 
 let blit t ~addr src =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  if off + Bytes.length src > r.size then
-    raise (Fault (addr + Bytes.length src - 1));
-  materialize r (off + Bytes.length src);
-  Bytes.blit src 0 r.bytes off (Bytes.length src)
+  let n = Bytes.length src in
+  let r = covering t addr n in
+  if n > 0 then Bytes.blit src 0 r.bytes (addr - r.base) n
 
 (** Snapshot the contents of [addr..addr+n-1] (for test oracles). *)
 let snapshot t addr n =
-  let r = region_of t addr in
-  let off = addr - r.start in
-  if off + n > r.size then raise (Fault (addr + n - 1));
-  materialize r (off + n);
-  Bytes.sub r.bytes off n
+  let r = covering t addr n in
+  if n = 0 then Bytes.empty else Bytes.sub r.bytes (addr - r.base) n

@@ -26,22 +26,21 @@ type result = {
    comparable between native, DBM-sequential and parallel executions
    of one program. Computed once at end of run — never on a hot path. *)
 let mem_digest (ctx : Machine.t) =
-  let region name =
-    match Memory.region_by_name ctx.Machine.mem name with
+  let mem = ctx.Machine.mem in
+  (* the first [used r] bytes of region [name], as the guest sees them *)
+  let contents name used =
+    match Memory.region_by_name mem name with
     | Some r ->
-      Memory.materialize r r.Memory.size;
-      Bytes.unsafe_to_string r.Memory.bytes
+      let n = max 0 (min r.Memory.size (used r)) in
+      Bytes.unsafe_to_string (Memory.snapshot mem r.Memory.start n)
     | None -> ""
   in
-  let heap =
-    match Memory.region_by_name ctx.Machine.mem "heap" with
-    | Some r ->
-      let used = max 0 (min r.Memory.size (ctx.Machine.brk - r.Memory.start)) in
-      Memory.materialize r used;
-      Bytes.sub_string r.Memory.bytes 0 used
-    | None -> ""
-  in
-  Digest.to_hex (Digest.string (region "data" ^ region "bss" ^ heap))
+  let whole r = r.Memory.size in
+  let below_brk r = ctx.Machine.brk - r.Memory.start in
+  Digest.to_hex
+    (Digest.string
+       (contents "data" whole ^ contents "bss" whole
+        ^ contents "heap" below_brk))
 
 (* Return-address sentinel: no valid code lives at address 0. *)
 let sentinel = 0

@@ -96,9 +96,9 @@ let[@inline] unhooked ctx =
   && not ctx.Machine.model_cache
 
 (* Memory.read_i64's fast path, inlined: one page-table load, one
-   bounds compare against the region's materialised prefix, then the
+   bounds compare against the region's materialised window, then the
    little-endian access. Anything else goes to Memory, whose slow path
-   materialises or faults exactly as before. *)
+   widens the window or faults exactly as before. *)
 let[@inline] page_region (mem : Memory.t) addr =
   let p = addr lsr Memory.page_bits in
   let pages = mem.Memory.pages in
@@ -109,7 +109,7 @@ let[@inline] read ctx addr =
   if unhooked ctx then begin
     let mem = ctx.Machine.mem in
     let r = page_region mem addr in
-    let off = addr - r.Memory.start in
+    let off = addr - r.Memory.base in
     if off >= 0 && off + 8 <= Bytes.length r.Memory.bytes then begin
       let v = get64 r.Memory.bytes off in
       if Sys.big_endian then swap64 v else v
@@ -122,7 +122,7 @@ let[@inline] write ctx addr (v : int64) =
   if unhooked ctx then begin
     let mem = ctx.Machine.mem in
     let r = page_region mem addr in
-    let off = addr - r.Memory.start in
+    let off = addr - r.Memory.base in
     if off >= 0 && off + 8 <= Bytes.length r.Memory.bytes then
       set64 r.Memory.bytes off (if Sys.big_endian then swap64 v else v)
     else Memory.write_i64 mem addr v

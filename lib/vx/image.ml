@@ -61,42 +61,44 @@ let to_bytes img =
     img.externals;
   Buffer.to_bytes b
 
+exception Bad_image of string
+
+(* magic, entry (two 32-bit halves), text, data and bss lengths *)
+let header_size = String.length magic + 8 + (4 * 3)
+
+(* total: an image, or Bad_image naming the first thing wrong *)
 let of_bytes buf =
-  let pos = ref 0 in
-  let u8 () =
-    let v = Char.code (Bytes.get buf !pos) in
-    incr pos;
-    v
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad_image s)) fmt in
+  let len = Bytes.length buf in
+  if len < String.length magic
+     || not (String.equal (Bytes.sub_string buf 0 (String.length magic)) magic)
+  then bad "bad magic";
+  if len < header_size then
+    bad "truncated header (%d of %d bytes)" len header_size;
+  let u32 off = Int32.to_int (Bytes.get_int32_le buf off) land 0xffffffff in
+  let hi = u32 8 in
+  (* [to_bytes] writes the entry's top half from a 63-bit int *)
+  if hi land 0x80000000 <> 0 then
+    bad "entry 0x%x%08x out of range" hi (u32 4);
+  let section what pos n =
+    if n > len - pos then
+      bad "%s claims %d bytes, %d remain" what n (len - pos);
+    Bytes.sub buf pos n
   in
-  let i32 () =
-    let a = u8 () and b = u8 () and c = u8 () and d = u8 () in
-    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+  let text_len = u32 12 and data_len = u32 16 in
+  let text = section "text" header_size text_len in
+  let data = section "data" (header_size + text_len) data_len in
+  (* the rest is the PLT: NUL-terminated names up to the end *)
+  let rec externals pos acc =
+    if pos = len then List.rev acc
+    else
+      match Bytes.index_from_opt buf pos '\000' with
+      | Some nul ->
+        externals (nul + 1) (Bytes.sub_string buf pos (nul - pos) :: acc)
+      | None -> bad "unterminated external name at byte %d" pos
   in
-  let m = Bytes.sub_string buf 0 4 in
-  pos := 4;
-  if not (String.equal m magic) then failwith "Image.of_bytes: bad magic";
-  let lo = i32 () in
-  let hi = i32 () in
-  let entry = lo lor (hi lsl 32) in
-  let text_len = i32 () in
-  let data_len = i32 () in
-  let bss_size = i32 () in
-  let text = Bytes.sub buf !pos text_len in
-  pos := !pos + text_len;
-  let data = Bytes.sub buf !pos data_len in
-  pos := !pos + data_len;
-  let externals = ref [] in
-  let name = Buffer.create 16 in
-  while !pos < Bytes.length buf do
-    let c = Bytes.get buf !pos in
-    incr pos;
-    if Char.equal c '\000' then begin
-      externals := Buffer.contents name :: !externals;
-      Buffer.clear name
-    end
-    else Buffer.add_char name c
-  done;
-  { entry; text; data; bss_size; externals = List.rev !externals }
+  { entry = u32 4 lor (hi lsl 32); text; data; bss_size = u32 20;
+    externals = externals (header_size + text_len + data_len) [] }
 
 (** Decode the text section into an address-indexed instruction table.
     Result maps virtual address -> (instruction, encoded length). *)

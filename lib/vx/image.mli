@@ -24,6 +24,15 @@ val plt_addr : t -> string -> int option
 val external_of_addr : t -> int -> string option
 
 val to_bytes : t -> bytes
+
+(** Raised by {!of_bytes} for a buffer that is not a whole JX image. *)
+exception Bad_image of string
+
+(** Decode the on-disk form. Total: any buffer decodes to an image or
+    raises {!Bad_image} (bad magic, a short header, an entry address
+    wider than 63 bits, a section longer than the rest of the buffer,
+    an unterminated PLT name), and a buffer that decodes is exactly
+    [to_bytes] of its image. *)
 val of_bytes : bytes -> t
 
 (** Decode the text section into an address-indexed instruction table:

@@ -423,7 +423,7 @@ let test_corrupt_image_rejected () =
     (try
        ignore (Janus_vx.Image.of_bytes (Bytes.of_string "ELF!\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000"));
        false
-     with _ -> true)
+     with Janus_vx.Image.Bad_image _ -> true)
 
 let test_rexpr_deep_nesting () =
   (* a deep expression survives serialisation and evaluation *)

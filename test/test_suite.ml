@@ -7,7 +7,9 @@ module Suite = Janus_suite.Suite
 module Program = Janus_vm.Program
 module Run = Janus_vm.Run
 module Machine = Janus_vm.Machine
+module Memory = Janus_vm.Memory
 module Dbm = Janus_dbm.Dbm
+module Runtime = Janus_runtime.Runtime
 
 let native b ?options () =
   let img = Suite.compile ?options b in
@@ -248,6 +250,60 @@ let test_allocation_budget () =
        DBM rerun %.4f (budget 0.005 each)"
       native dbm native_hot dbm_warm
 
+(* A run pays only for the guest memory it touches. Stacks are used
+   from their top and TLS blocks from their base, so after native and
+   full-Janus (8-thread) runs of the host benchmark's twelve programs at
+   training scale every stack, worker-stack and TLS window is at most
+   16 KiB (4 KiB measured). A backing anchored at the region's base
+   materialised the whole main stack (1,023 KiB), 256 KiB per worker
+   stack and 64 KiB per TLS block on every execution. The Janus run is
+   driven through [Dbm.run] with the runtime installed, so its memory
+   stays readable afterwards. *)
+let test_materialised_budget () =
+  let budget = 16 * 1024 in
+  let programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ] in
+  let thread_private (r : Memory.region) =
+    let is p = String.starts_with ~prefix:p r.Memory.name in
+    String.equal r.Memory.name "stack" || is "tstack" || is "tls"
+  in
+  let over = ref [] in
+  let audit run (prog : Program.t) =
+    List.iter
+      (fun (r : Memory.region) ->
+         let n = Bytes.length r.Memory.bytes in
+         if thread_private r && n > budget then
+           over := Printf.sprintf "%s %s %d KiB" run r.Memory.name (n / 1024)
+                   :: !over)
+      prog.Program.mem.Memory.regions
+  in
+  let fresh prog input =
+    let ctx = Run.fresh_context prog in
+    List.iter (fun v -> Queue.push v ctx.Machine.input) input;
+    ctx
+  in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+       let img = Suite.compile b and input = Suite.train_input b in
+       let prog = Program.load img in
+       Run.run_from prog (fresh prog input) ~fuel:Run.default_fuel;
+       audit (b.Suite.name ^ " native") prog;
+       let p = Janus.prepare ~train_input:input img in
+       let prog = Program.load img in
+       let dbm = Dbm.create ~schedule:p.Janus.p_schedule prog in
+       let rt =
+         Runtime.create ~config:{ Runtime.default_config with threads = 8 } dbm
+       in
+       Runtime.install rt;
+       ignore (Dbm.run dbm rt.Runtime.main_cache (fresh prog input));
+       audit (b.Suite.name ^ " janus") prog)
+    programs;
+  match List.rev !over with
+  | [] -> ()
+  | over ->
+    Alcotest.failf "%d windows over the %d KiB budget, first %s"
+      (List.length over) (budget / 1024)
+      (String.concat ", " (List.filteri (fun i _ -> i < 3) over))
+
 let tests =
   [
     Alcotest.test_case "all compile and run" `Quick test_all_compile_and_run;
@@ -255,6 +311,8 @@ let tests =
     Alcotest.test_case "all analysable" `Quick test_all_analysable;
     Alcotest.test_case "allocation budget per instruction" `Quick
       test_allocation_budget;
+    Alcotest.test_case "materialised guest memory budget" `Quick
+      test_materialised_budget;
     Alcotest.test_case "nine correct under full janus" `Quick
       test_nine_correct_full_janus;
     Alcotest.test_case "nine correct all configs" `Slow

@@ -606,6 +606,122 @@ let prop_memory_fast_path =
       && contents fast = contents observed
       && contents fast = contents cached)
 
+(* A region's window must be invisible: whichever accessor touches a
+   region first, at either end or in the middle, and however the window
+   grows afterwards, every value, every Fault address and every final
+   byte equals a model that backs each region with one zeroed [Bytes]
+   of its full size, the eager representation. The fast-path property
+   above compares two paths over one shared window, so a window bug
+   common to both escapes it; this one compares against the model. *)
+
+type win_op =
+  | W_read64 of int
+  | W_write64 of int * int64
+  | W_read8 of int
+  | W_write8 of int * int
+  | W_blit of int * string
+  | W_snapshot of int * int
+  | W_raw_read of int
+  | W_raw_write of int * int64
+
+(* a stack-shaped region (its top 8 bytes past a granule, like
+   [Program]'s stacks) and a heap-shaped one, with unmapped gaps *)
+let win_regions = [ ("stack", 0x100000, 0x20008); ("heap", 0x200000, 0x30000) ]
+
+let gen_win_op =
+  let open QCheck2.Gen in
+  let addr =
+    oneof
+      [ map2 ( + )
+          (oneofl
+             [ 0x100000; 0x110000; 0x120008; 0x200000; 0x218000; 0x230000;
+               0x160000 ])
+          (int_range (-24) 24);
+        int_range 0x100000 0x120010;
+        int_range 0x200000 0x230010 ]
+  in
+  let v = oneof [ int64; oneofl [ Int64.min_int; -1L; 0L ] ] in
+  let len = int_range 0 40 in
+  frequency
+    [ (2, map (fun a -> W_read64 a) addr);
+      (2, map2 (fun a v -> W_write64 (a, v)) addr v);
+      (1, map (fun a -> W_read8 a) addr);
+      (1, map2 (fun a v -> W_write8 (a, v)) addr (int_range 0 255));
+      (1, map2 (fun a s -> W_blit (a, s)) addr (string_size len));
+      (1, map2 (fun a n -> W_snapshot (a, n)) addr len);
+      (2, map (fun a -> W_raw_read a) addr);
+      (2, map2 (fun a v -> W_raw_write (a, v)) addr v) ]
+
+let prop_memory_window_model =
+  QCheck2.Test.make ~count:300
+    ~name:"memory windows match an eagerly backed model"
+    QCheck2.Gen.(list_size (int_range 1 60) gen_win_op)
+    (fun ops ->
+      let mem = Memory.create () in
+      List.iter
+        (fun (name, start, size) ->
+          ignore (Memory.add_region mem ~name ~start ~size))
+        win_regions;
+      let ctx = Machine.create mem in
+      let model =
+        List.map (fun (_, start, size) -> (start, Bytes.make size '\000'))
+          win_regions
+      in
+      (* the model's backing and offset for [addr..addr+n-1], faulting
+         exactly as Memory specifies *)
+      let span addr n =
+        match
+          List.find_opt
+            (fun (start, b) -> addr >= start && addr - start < Bytes.length b)
+            model
+        with
+        | None -> raise (Memory.Fault addr)
+        | Some (start, b) ->
+          if addr + n > start + Bytes.length b then
+            raise (Memory.Fault (addr + n - 1));
+          (b, addr - start)
+      in
+      let real op =
+        match op with
+        | W_read64 a -> Int64.to_string (Memory.read_i64 mem a)
+        | W_write64 (a, v) -> Memory.write_i64 mem a v; ""
+        | W_read8 a -> string_of_int (Memory.read_u8 mem a)
+        | W_write8 (a, v) -> Memory.write_u8 mem a v; ""
+        | W_blit (a, s) -> Memory.blit mem ~addr:a (Bytes.of_string s); ""
+        | W_snapshot (a, n) -> Bytes.to_string (Memory.snapshot mem a n)
+        | W_raw_read a -> Int64.to_string (Semantics.raw_read ctx a)
+        | W_raw_write (a, v) -> Semantics.raw_write ctx a v; ""
+      in
+      let reference op =
+        match op with
+        | W_read64 a | W_raw_read a ->
+          let b, off = span a 8 in
+          Int64.to_string (Bytes.get_int64_le b off)
+        | W_write64 (a, v) | W_raw_write (a, v) ->
+          let b, off = span a 8 in
+          Bytes.set_int64_le b off v; ""
+        | W_read8 a ->
+          let b, off = span a 1 in
+          string_of_int (Char.code (Bytes.get b off))
+        | W_write8 (a, v) ->
+          let b, off = span a 1 in
+          Bytes.set b off (Char.chr v); ""
+        | W_blit (a, s) ->
+          let b, off = span a (String.length s) in
+          Bytes.blit_string s 0 b off (String.length s); ""
+        | W_snapshot (a, n) ->
+          let b, off = span a n in
+          Bytes.sub_string b off n
+      in
+      let outcome f op =
+        match f op with v -> Ok v | exception Memory.Fault f -> Error f
+      in
+      List.for_all (fun op -> outcome real op = outcome reference op) ops
+      && List.for_all2
+           (fun (_, start, size) (_, b) ->
+             Bytes.equal (Memory.snapshot mem start size) b)
+           win_regions model)
+
 let test_out_of_fuel () =
   let b = Builder.create () in
   Builder.label b "_start";
@@ -630,6 +746,7 @@ let tests =
       test_txn_rollback_flags_brk;
     QCheck_alcotest.to_alcotest prop_flat_state_equiv;
     QCheck_alcotest.to_alcotest prop_memory_fast_path;
+    QCheck_alcotest.to_alcotest prop_memory_window_model;
     Alcotest.test_case "observe hook" `Quick test_observe_hook;
     Alcotest.test_case "cache model misses" `Quick test_cache_model_misses;
     Alcotest.test_case "cache model off by default" `Quick

@@ -368,7 +368,41 @@ let test_image_rejects_bad_magic () =
     (try
        ignore (Image.of_bytes (Bytes.of_string "ELF!\x00\x00\x00\x00"));
        false
-     with _ -> true)
+     with Image.Bad_image _ -> true)
+
+(* [of_bytes] is total: a truncated or byte-mutated suite image either
+   decodes, to an image that re-encodes to exactly those bytes, or
+   raises [Bad_image]; the originals round-trip *)
+let suite_images =
+  lazy
+    (List.map
+       (fun b ->
+          let img = Janus_suite.Suite.compile b in
+          (img, Image.to_bytes img))
+       (Janus_suite.Suite.adv_fission :: Janus_suite.Suite.adversarial
+        @ Janus_suite.Suite.all))
+
+let prop_image_of_bytes_total =
+  QCheck2.Test.make ~count:400
+    ~name:"image of_bytes raises only Bad_image under truncation and mutation"
+    QCheck2.Gen.(
+      triple (int_bound 1000)
+        (oneof [ int_bound 40; int_bound 100_000 ])
+        (int_range 1 255))
+    (fun (which, where, mask) ->
+       let images = Lazy.force suite_images in
+       let img, good = List.nth images (which mod List.length images) in
+       let k = where mod Bytes.length good in
+       let mutated = Bytes.copy good in
+       Bytes.set mutated k (Char.chr (Char.code (Bytes.get good k) lxor mask));
+       let canonical b =
+         match Image.of_bytes b with
+         | i -> Bytes.equal (Image.to_bytes i) b
+         | exception Image.Bad_image _ -> true
+       in
+       Image.of_bytes good = img
+       && canonical (Bytes.sub good 0 k)
+       && canonical mutated)
 
 let prop_decode_never_wrong =
   (* decoding any prefix-corrupted encoding either raises Bad_encoding
@@ -394,6 +428,7 @@ let props =
       prop_vector_width_cost_monotone;
       prop_memory_operand_costs_more;
       prop_decode_never_wrong;
+      prop_image_of_bytes_total;
     ]
 
 let tests =

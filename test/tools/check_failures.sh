@@ -41,14 +41,30 @@ grep -q "janus_verify: short.jrs is not a readable JRS schedule" \
   badsched_verify.out || fail "jverify did not report a malformed schedule"
 grep -q "janus_run: short.jrs is not a rewrite schedule" badsched_run.out ||
   fail "janus_run did not report a malformed schedule"
-for f in badsched_dump.out badsched_verify.out badsched_run.out; do
+
+# a file that is not a JX image: one line naming the tool and the
+# file, for every tool that reads a binary
+for t in run:janus_run verify:janus_verify analyze:janus_analyze \
+         prof:janus_prof objdump:jx_objdump dump:jrs_dump; do
+  f="badimg_${t%%:*}.out"
+  grep -q "^${t#*:}: notjx.jx is not a JX binary: bad magic$" "$f" ||
+    fail "${t#*:} did not report a non-JX binary"
+done
+# a header whose text section runs past the end of the file
+grep -q "^jx_objdump: truncated.jx is not a JX binary: text claims" \
+  truncimg_objdump.out || fail "jx_objdump did not report a truncated binary"
+for f in badsched_dump.out badsched_verify.out badsched_run.out \
+         badimg_run.out badimg_verify.out badimg_analyze.out badimg_prof.out \
+         badimg_objdump.out badimg_dump.out truncimg_objdump.out; do
   [ "$(wc -l < "$f")" -eq 1 ] || fail "$f is not a one-line diagnostic"
 done
 
 for f in fuel_fail.out badargs.out badexp.out noval_run.out noval_prof.out \
          noval_analyze.out noval_jcc.out noval_eval.out noval_served.out \
          noval_pgo.out noprof_analyze.out badsched_dump.out \
-         badsched_verify.out badsched_run.out; do
+         badsched_verify.out badsched_run.out badimg_run.out \
+         badimg_verify.out badimg_analyze.out badimg_prof.out \
+         badimg_objdump.out badimg_dump.out truncimg_objdump.out; do
   grep -qi "Raised at\|Backtrace\|Fatal error" "$f" &&
     fail "$f contains a backtrace" || true
 done
