@@ -9,7 +9,9 @@
    fragment becomes a trace on its first re-dispatch, so the trace
    builder walks all hot code), the ten Janus configurations of the
    host benchmark's [suite] workload, plus the STM-everywhere ablation
-   and a forced round-robin policy. Each program gets one fresh
+   and a forced round-robin policy, then the deployment path: the
+   default configuration's schedule, shipped through its byte form
+   and run by [Janus.run_scheduled]. Each program gets one fresh
    artifact store shared by its configurations.
 
    Then one [profile] row per suite program (all 25, the adversarial
@@ -29,10 +31,11 @@ module Program = Janus_vm.Program
 module Run = Janus_vm.Run
 module Machine = Janus_vm.Machine
 module Profiler = Janus_profile.Profiler
+module Schedule = Janus_schedule.Schedule
 
 let programs = Janus_core.Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
 
-type mode = Native | Dbm_only | Dbm_eager | Par of Janus.config
+type mode = Native | Dbm_only | Dbm_eager | Par of Janus.config | Scheduled
 
 let modes =
   [ ("native", Native);
@@ -50,7 +53,8 @@ let modes =
     ("adapt", Par (Janus.config ~adapt:true ()));
     ("stm-everywhere", Par (Janus.config ~stm_everywhere:true ()));
     ("round-robin-4",
-     Par (Janus.config ~force_policy:(Desc.Round_robin 4) ())) ]
+     Par (Janus.config ~force_policy:(Desc.Round_robin 4) ()));
+    ("scheduled", Scheduled) ]
 
 let stats_fields = function
   | None -> "-"
@@ -103,7 +107,14 @@ let () =
               (Some stats)
           | Par cfg ->
             let p = Janus.prepare ~cfg ~train_input:input ~store img in
-            print_result (Janus.run_parallel ~cfg ~input ~store p))
+            print_result (Janus.run_parallel ~cfg ~input ~store p)
+          | Scheduled ->
+            let cfg = Janus.config () in
+            let p = Janus.prepare ~cfg ~train_input:input ~store img in
+            let shipped =
+              Schedule.of_bytes (Schedule.to_bytes p.Janus.p_schedule)
+            in
+            print_result (Janus.run_scheduled ~cfg ~input img shipped))
         modes)
     programs
 
