@@ -186,10 +186,10 @@ let dump input binary verify =
     else begin
       (* cheap cross-reference: how many triggers land on instruction
          boundaries of the binary *)
-      let decode = Janus_vx.Image.decode_text image in
+      let text = Janus_vx.Code.of_image image in
       let dangling =
         List.filter
-          (fun (r : Rule.t) -> not (Hashtbl.mem decode r.Rule.addr))
+          (fun (r : Rule.t) -> not (Janus_vx.Code.mem text r.Rule.addr))
           sched.Schedule.rules
       in
       Fmt.pr "@.%d/%d triggers land on instruction boundaries of %s@."

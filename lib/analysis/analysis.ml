@@ -55,7 +55,7 @@ let analyse_image ?pool image =
       | Some p when Janus_pool.Pool.jobs p > 1 -> Janus_pool.Pool.map p f xs
       | _ -> List.map f xs
   in
-  let cfg = Cfg.recover image in
+  let cfg = Cfg.recover ~code:(Janus_vx.Code.of_image image) image in
   let funcs = Cfg.all_funcs cfg in
   (* phase 1 (parallel): dominator trees, pure per function *)
   let doms = shard Dom.compute funcs in

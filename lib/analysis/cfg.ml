@@ -26,12 +26,12 @@ type func = {
 
 type t = {
   image : Image.t;
-  code : (int, Insn.t * int) Hashtbl.t;
+  code : Code.t;                        (* the decoded text *)
   funcs : (int, func) Hashtbl.t;        (* entry addr -> func *)
   entry : int;
 }
 
-let fetch t addr = Hashtbl.find_opt t.code addr
+let fetch t addr = Code.find t.code addr
 
 let block_end b =
   let last = b.insns.(Array.length b.insns - 1) in
@@ -178,8 +178,7 @@ let build_func t entry =
 
 (** Recover the whole program: the entry function plus everything
     reachable through direct calls. *)
-let recover (image : Image.t) =
-  let code = Image.decode_text image in
+let recover ~code (image : Image.t) =
   let t = { image; code; funcs = Hashtbl.create 16; entry = image.entry } in
   let work = Queue.create () in
   Queue.push image.entry work;

@@ -26,7 +26,10 @@ type func = {
 
 type t = {
   image : Image.t;
-  code : (int, Insn.t * int) Hashtbl.t;
+  code : Code.t;
+      (** the decoded text, which every later reader of the image
+          shares: the profiler's and the executor's loads take it from
+          here *)
   funcs : (int, func) Hashtbl.t;
   entry : int;
 }
@@ -34,9 +37,10 @@ type t = {
 val fetch : t -> int -> (Insn.t * int) option
 val block_end : bblock -> int
 
-(** Recover the whole program: the entry function plus everything
+(** Recover the whole program over its decoded text
+    ([Code.of_image image]): the entry function plus everything
     reachable through direct calls. *)
-val recover : Image.t -> t
+val recover : code:Code.t -> Image.t -> t
 
 val func : t -> int -> func option
 

@@ -169,7 +169,7 @@ let result_of_dbm_run image ~schedule_size ~selected ?(demoted = []) ~checks
 
 (** Execution under the unmodified DBM (the "DynamoRIO" bar of Fig. 7). *)
 let run_dbm_only ?(fuel = 400_000_000) ?(input = []) ?(trace = false) image =
-  let prog = Program.load image in
+  let prog = Program.load ~code:(Code.of_image image) image in
   let obs = Obs.create ~enabled:trace () in
   let dbm = Dbm.create ~obs prog in
   let cache = Dbm.new_cache Dbm.Main in
@@ -257,12 +257,13 @@ let gate ~cfg ?store ?pool image schedule =
 
 (* The execute step both entry points share once their gate has run:
    run [input] under the DBM with [schedule] and the parallel runtime
-   attached, and report the run. [register] enrols the deployed loops
-   with the governor when [cfg.adapt] makes one; [schedule_size] is the
-   size reported, [selected] and [checks] the loops reported. *)
+   attached, and report the run. [code] is the image's decoded text;
+   [register] enrols the deployed loops with the governor when
+   [cfg.adapt] makes one; [schedule_size] is the size reported,
+   [selected] and [checks] the loops reported. *)
 let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
-    ~register image =
-  let prog = Program.load image in
+    ~register ~code image =
+  let prog = Program.load ~code image in
   let obs = Obs.create ~enabled:cfg.trace () in
   let dbm = Dbm.create ~schedule ~obs prog in
   let rt_config =
@@ -350,7 +351,8 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
   in
   let res =
     execute ~cfg ~input ~schedule ~schedule_size:(Schedule.size p.p_schedule)
-      ~selected ~demoted ~checks ~register p.p_image
+      ~selected ~demoted ~checks ~register
+      ~code:p.p_analysis.Analysis.cfg.Janus_analysis.Cfg.code p.p_image
   in
   (* fission census: how many Static-Dependence loops were examined,
      how many the schedule split, and how the verifier judged those *)
@@ -395,8 +397,9 @@ let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
       (fun l -> Adapt.register g l ~profiled:(not (List.mem l checked)))
       selected
   in
+  (* no analysis ships with the schedule: the text is decoded here *)
   execute ~cfg ~input ~schedule ~schedule_size:shipped_size ~selected
-    ~demoted ~checks:[] ~register image
+    ~demoted ~checks:[] ~register ~code:(Code.of_image image) image
 
 (** The whole pipeline: analyse, profile on the training input, select,
     parallelise, run on the reference input. *)

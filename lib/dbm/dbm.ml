@@ -64,14 +64,22 @@ type action =
   | Divert of int      (* transfer control to an application address *)
   | Stop_thread        (* leave the execution loop (thread yield) *)
 
+(* the rules one thread kind applies at one address *)
+type site = {
+  r_all : Rule.t list;     (* in schedule order *)
+  r_events : Rule.t list;  (* the event rules among them *)
+}
+
 type t = {
   prog : Program.t;
-  rules : (int, Rule.t list) Hashtbl.t;   (* the rule hash table *)
+  main_sites : site Machine.Int_table.t;    (* the rule hash table, per kind *)
+  worker_sites : site Machine.Int_table.t;
   schedule : Schedule.t option;
   stats : stats;
   promote_threshold : int;    (* fragment executions before trace promotion *)
   mutable obs : Obs.t option;
   mutable on_event : t -> thread_kind -> Machine.t -> Rule.t -> action;
+  mutable walked : slot array;  (* the translation walk's scratch slots *)
 }
 
 (** A per-thread code cache. *)
@@ -83,39 +91,6 @@ type cache = {
       (* loop fission: addresses this cache's fragments elide (the other
          sub-loops' instructions); control flow is never elided *)
 }
-
-let create ?schedule ?obs ?(promote_threshold = Cost.trace_head_threshold)
-    prog =
-  let rules = Hashtbl.create 64 in
-  (match schedule with
-   | Some s ->
-     Hashtbl.iter (fun a rs -> Hashtbl.replace rules a rs) (Schedule.index s)
-   | None -> ());
-  {
-    prog;
-    rules;
-    schedule;
-    stats = new_stats ();
-    promote_threshold;
-    obs;
-    on_event = (fun _ _ _ _ -> Continue);
-  }
-
-let new_cache ?skip kind =
-  { kind; frags = Machine.Int_table.create 256; last_indirect = false; skip }
-
-(* trace-event thread ids: 0 = main, w+1 = worker w *)
-let tid_of = function Main -> 0 | Worker w -> w + 1
-
-let flush_cache ?(now = 0) t (c : cache) =
-  Machine.Int_table.reset c.frags;
-  t.stats.cache_flushes <- t.stats.cache_flushes + 1;
-  match t.obs with
-  | Some o when Obs.tracing o ->
-    Obs.emit o ~tid:(tid_of c.kind) ~ts:now Obs.Cache_flushed
-  | _ -> ()
-
-let rules_at t addr = try Hashtbl.find t.rules addr with Not_found -> []
 
 let is_transform (r : Rule.t) =
   match r.Rule.id with
@@ -132,6 +107,60 @@ let applies kind (r : Rule.t) =
   | Worker _, (Rule.LOOP_INIT | Rule.LOOP_FISSION | Rule.MEM_BOUNDS_CHECK
               | Rule.MEM_SPILL_REG | Rule.THREAD_SCHEDULE) -> false
   | Worker _, _ -> true
+
+(* One table per thread kind, split once here so the translator looks
+   an address up once and filters nothing. An address no rule of the
+   kind applies at has no entry. *)
+let sites_of index kind =
+  let tbl = Machine.Int_table.create 64 in
+  Hashtbl.iter
+    (fun a rs ->
+       match List.filter (applies kind) rs with
+       | [] -> ()
+       | r_all ->
+         Machine.Int_table.replace tbl a
+           { r_all;
+             r_events = List.filter (fun r -> not (is_transform r)) r_all })
+    index;
+  tbl
+
+let no_site = { r_all = []; r_events = [] }
+
+let no_slot =
+  { s_insn = Insn.Nop; s_addr = 0; s_len = 0; s_cost = 0; s_events = [] }
+
+let create ?schedule ?obs ?(promote_threshold = Cost.trace_head_threshold)
+    prog =
+  let index =
+    match schedule with
+    | Some s -> Schedule.index s
+    | None -> Hashtbl.create 1
+  in
+  {
+    prog;
+    main_sites = sites_of index Main;
+    worker_sites = sites_of index (Worker 0);
+    schedule;
+    stats = new_stats ();
+    promote_threshold;
+    obs;
+    on_event = (fun _ _ _ _ -> Continue);
+    walked = Array.make 64 no_slot;
+  }
+
+let new_cache ?skip kind =
+  { kind; frags = Machine.Int_table.create 256; last_indirect = false; skip }
+
+(* trace-event thread ids: 0 = main, w+1 = worker w *)
+let tid_of = function Main -> 0 | Worker w -> w + 1
+
+let flush_cache ?(now = 0) t (c : cache) =
+  Machine.Int_table.reset c.frags;
+  t.stats.cache_flushes <- t.stats.cache_flushes + 1;
+  match t.obs with
+  | Some o when Obs.tracing o ->
+    Obs.emit o ~tid:(tid_of c.kind) ~ts:now Obs.Cache_flushed
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Transformation handlers (Fig. 2(b))                                 *)
@@ -253,54 +282,93 @@ let elided (cache : cache) a insn =
   | Some f -> f a && not (Insn.is_control_flow insn)
   | None -> false
 
-(* Walk the code at [start] into [cache]'s slots: transformation rules
+(* does [insn] end a basic block at the exit syscall? *)
+let is_exit = function
+  | Insn.Syscall n -> n = Insn.sys_exit
+  | _ -> false
+
+let rec mem_int (a : int) = function
+  | [] -> false
+  | x :: tl -> x = a || mem_int a tl
+
+let rec transform rs insn =
+  match rs with
+  | [] -> insn
+  | r :: tl -> transform tl (apply_transform r insn)
+
+(* Walk the code at [start] into [t.walked]: transformation rules
    rewrite each instruction, event rules attach to it, the fission
    filter drops it and prefetch hints go before it. A basic block ends
    at control flow or [sys_exit]. A trace ([trace]) runs on past
    [sys_exit] and through each event-free direct jump, eliding the jump
    (DynamoRIO's trace optimisation), across at most 8 further blocks,
-   each entered once. Returns the slots and the number of instructions
-   walked, elided ones included. *)
+   each entered once. The decoded code and the kind's rule table are
+   read in place, so an instruction with no rule costs its slot and
+   nothing else. Returns the number of slots and the number of
+   instructions walked, elided ones included. *)
 let walk t (cache : cache) ~trace start =
-  let slots = ref [] and count = ref 0 and seen = ref [] in
-  let push s = slots := s :: !slots in
+  let sites =
+    match cache.kind with Main -> t.main_sites | Worker _ -> t.worker_sites
+  in
+  let n = ref 0 and count = ref 0 and seen = ref [] in
+  let push s =
+    if !n = Array.length t.walked then begin
+      let a = Array.make (2 * !n) no_slot in
+      Array.blit t.walked 0 a 0 !n;
+      t.walked <- a
+    end;
+    Array.unsafe_set t.walked !n s;
+    incr n
+  in
   let rec block a blocks =
-    if blocks <= 8 && not (List.mem a !seen) then begin
+    if blocks <= 8 && not (mem_int a !seen) then begin
       seen := a :: !seen;
       insns a blocks
     end
   and insns a blocks =
-    match Program.fetch t.prog a with
-    | None -> ()
-    | Some (insn, len) -> (
+    let code = Program.code_at t.prog a in
+    let off = a - code.Code.base in
+    let len =
+      if off >= 0 && off < Bytes.length code.Code.lens then
+        Char.code (Bytes.unsafe_get code.Code.lens off)
+      else 0
+    in
+    if len > 0 then begin
       incr count;
-      let rs = List.filter (applies cache.kind) (rules_at t a) in
-      let events = List.filter (fun r -> not (is_transform r)) rs in
+      let insn = Array.unsafe_get code.Code.insns off in
+      let { r_all = rs; r_events = events } =
+        match Machine.Int_table.find_opt sites a with
+        | None -> no_site
+        | Some site -> site
+      in
       match insn with
-      | Insn.Jmp (Insn.Direct target) when trace && events = [] ->
+      | Insn.Jmp (Insn.Direct target) when trace && events == [] ->
         block target (blocks + 1)
       | _ ->
         if not (elided cache a insn) then begin
-          let insn' =
-            List.fold_left
-              (fun i r -> if is_transform r then apply_transform r i else i)
-              insn rs
-          in
-          List.iter push (prefetch_slots rs insn' a);
-          push (slot insn' a len events)
+          if rs == [] then
+            push
+              { s_insn = insn; s_addr = a; s_len = len;
+                s_cost = Char.code (Bytes.unsafe_get code.Code.costs off);
+                s_events = [] }
+          else begin
+            let insn' = transform rs insn in
+            List.iter push (prefetch_slots rs insn' a);
+            push (slot insn' a len events)
+          end
         end
-        else if events <> [] then
+        else if events != [] then
           (* an elided instruction is dropped outright — control flow is
              never elided, so fragment exits are unaffected and the
              elision really is free; attached events keep a 1-cycle Nop
              slot as their anchor *)
           push (slot Insn.Nop a len events);
-        if not (Insn.is_control_flow insn)
-           && (trace || insn <> Insn.Syscall Insn.sys_exit)
-        then insns (a + len) blocks)
+        if not (Insn.is_control_flow insn || ((not trace) && is_exit insn))
+        then insns (a + len) blocks
+    end
   in
   block start 0;
-  (Array.of_list (List.rev !slots), !count)
+  (!n, !count)
 
 (* Build the fragment at [addr] (a trace if [trace]) into [cache],
    charging its translation to [ctx]. A basic block counts in
@@ -308,14 +376,16 @@ let walk t (cache : cache) ~trace start =
    library entry; a trace counts in [traces_built], keeps the [execs]
    of the fragment it replaces and starts linked. *)
 let build t (cache : cache) ctx ~trace ~execs addr =
-  let slots, count = walk t cache ~trace addr in
+  let n, count = walk t cache ~trace addr in
+  let slots = Array.sub t.walked 0 n in
   let cost = Cost.fragment_setup + (Cost.translate_per_insn * count) in
   let t0 = ctx.Machine.cycles in
   ctx.Machine.cycles <- t0 + cost;
   let s = t.stats in
   s.translate_cycles <- s.translate_cycles + cost;
-  if cache.kind = Main then
-    s.translate_cycles_main <- s.translate_cycles_main + cost;
+  (match cache.kind with
+   | Main -> s.translate_cycles_main <- s.translate_cycles_main + cost
+   | Worker _ -> ());
   if trace then s.traces_built <- s.traces_built + 1
   else begin
     s.translated_insns <- s.translated_insns + count;
@@ -430,7 +500,8 @@ let dispatch t (cache : cache) ctx addr =
       build t cache ctx ~trace:true ~execs:f.f_execs f.f_start
     else f
   | exception Not_found ->
-    if Program.fetch t.prog addr = None then raise (Bad_pc addr);
+    if Code.len (Program.code_at t.prog addr) addr = 0 then
+      raise (Bad_pc addr);
     (* a context switch into the code cache happens on this path too:
        the dispatch census must include every fragment's first
        (translate-path) execution. Only the counter moves here — the

@@ -63,9 +63,19 @@ type action =
   | Divert of int   (** transfer control to an application address *)
   | Stop_thread     (** leave the execution loop (thread yield) *)
 
+(** The rules one thread kind applies at one address. *)
+type site = {
+  r_all : Rule.t list;     (** in schedule order *)
+  r_events : Rule.t list;  (** the event rules among them *)
+}
+
 type t = {
   prog : Program.t;
-  rules : (int, Rule.t list) Hashtbl.t;  (** the rule hash table *)
+  main_sites : site Machine.Int_table.t;
+      (** the rule hash table as the main thread's caches see it: an
+          entry per address some main-thread rule triggers at, split
+          from the schedule once, at {!create} *)
+  worker_sites : site Machine.Int_table.t;  (** the same for workers *)
   schedule : Schedule.t option;
   stats : stats;
   promote_threshold : int;
@@ -74,6 +84,9 @@ type t = {
           eagerly, [max_int] disables promotion) *)
   mutable obs : Obs.t option;  (** tracing/metrics sink, off by default *)
   mutable on_event : t -> thread_kind -> Machine.t -> Rule.t -> action;
+  mutable walked : slot array;
+      (** the translator's scratch slots, reused by every fragment it
+          builds *)
 }
 
 (** A per-thread code cache. *)
@@ -89,9 +102,9 @@ type cache = {
 }
 
 (** Create a DBM over a loaded program, indexing the schedule's rules
-    by trigger address. [obs] attaches a tracing/metrics sink; when
-    absent (or when tracing is disabled on it) the DBM behaves exactly
-    as an uninstrumented one. *)
+    by trigger address and thread kind. [obs] attaches a
+    tracing/metrics sink; when absent (or when tracing is disabled on
+    it) the DBM behaves exactly as an uninstrumented one. *)
 val create :
   ?schedule:Schedule.t -> ?obs:Obs.t -> ?promote_threshold:int ->
   Program.t -> t

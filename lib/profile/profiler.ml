@@ -130,7 +130,9 @@ let run ?(fuel = 100_000_000) ?(input = []) image (analysis : Analysis.t) =
   let schedule =
     Rulegen.profiling_schedule analysis.Analysis.cfg analysis.Analysis.reports
   in
-  let prog = Program.load image in
+  let prog =
+    Program.load ~code:analysis.Analysis.cfg.Janus_analysis.Cfg.code image
+  in
   let dbm = Dbm.create ~schedule prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in

@@ -74,17 +74,18 @@ let dir_ok cond step =
   | (Cond.Gt | Cond.Ge | Cond.Ne | Cond.Ugt | Cond.Uge), -1 -> true
   | _ -> false
 
-let lint ?pool image (s : Schedule.t) : finding list =
+(* [lint] over the image's decoded text, which [check_and_demote]
+   shares with [demote] *)
+let lint_code ?pool image (text : Code.t) (s : Schedule.t) : finding list =
   let findings = ref [] in
   let add severity code ?addr ?lid message =
     findings := { severity; code; addr; lid; message } :: !findings
   in
-  let decode = Image.decode_text image in
   (* CFG recovery and per-function analyses, on demand. The caches made
      by [mk_caches] memoise per function; the descriptor deep checks
      below run one cache pair per pool task (a shared cache would race
      across domains), the fission checks share one on the lint domain. *)
-  let cfgt = lazy (Cfg.recover image) in
+  let cfgt = lazy (Cfg.recover ~code:text image) in
   let mk_caches () =
     let live_cache : (int, Liveness.t) Hashtbl.t = Hashtbl.create 4 in
     let loops_cache : (int, Looptree.t) Hashtbl.t = Hashtbl.create 4 in
@@ -123,7 +124,7 @@ let lint ?pool image (s : Schedule.t) : finding list =
        they are";
   List.iter
     (fun (r : Rule.t) ->
-       if not (Hashtbl.mem decode r.Rule.addr) then
+       if not (Code.mem text r.Rule.addr) then
          add Error "dangling-address" ~addr:r.Rule.addr ?lid:(rule_lid r)
            (Fmt.str "%s triggers at 0x%x, which is not an instruction \
                      boundary of the binary"
@@ -280,7 +281,7 @@ let lint ?pool image (s : Schedule.t) : finding list =
            add Error "bad-bound-operand" ~addr:r.Rule.addr
              (Fmt.str "bound operand index %d (a compare has operands 0 \
                        and 1)" idx);
-         (match Hashtbl.find_opt decode r.Rule.addr with
+         (match Code.find text r.Rule.addr with
           | Some (Insn.Cmp _, _) -> ()
           | Some (i, _) ->
             add Error "bound-not-compare" ~addr:r.Rule.addr
@@ -327,7 +328,7 @@ let lint ?pool image (s : Schedule.t) : finding list =
      and per-task findings concatenated in that order — the report is
      byte-identical with or without a pool, at any [--jobs]. The CFG is
      recovered up front (grouping needs it), so tasks never race the
-     lazy cell; [decode], [s] and [check_descs] are read-only here and
+     lazy cell; [text], [s] and [check_descs] are read-only here and
      shared Hashtbl reads are safe across domains. *)
   let deep_check ~liveness_of ~looptree_of
       (lid, (d : Desc.loop_desc), (fopt : Cfg.func option)) =
@@ -336,7 +337,7 @@ let lint ?pool image (s : Schedule.t) : finding list =
       out := { severity; code; addr; lid; message } :: !out
     in
     (let check_addr what a =
-         if not (Hashtbl.mem decode a) then
+         if not (Code.mem text a) then
            add Error "descriptor-address" ~addr:a ~lid
              (Fmt.str "descriptor %s 0x%x is not an instruction boundary"
                 what a)
@@ -727,6 +728,8 @@ let lint ?pool image (s : Schedule.t) : finding list =
      |> List.sort (fun (a, _) (b, _) -> compare a b));
   List.rev !findings
 
+let lint ?pool image s = lint_code ?pool image (Code.of_image image) s
+
 (* ------------------------------------------------------------------ *)
 (* Cross-check against the classifier                                  *)
 (* ------------------------------------------------------------------ *)
@@ -778,11 +781,11 @@ let all_lids (s : Schedule.t) =
 
 (* address extent of a loop, for attributing the lid-less
    LOOP_UPDATE_BOUND rules: header up to the end of the latch block *)
-let loop_extent decode (d : Desc.loop_desc) =
+let loop_extent text (d : Desc.loop_desc) =
   let rec block_end addr steps =
     if steps > 100_000 then None
     else
-      match Hashtbl.find_opt decode addr with
+      match Code.find text addr with
       | None -> None
       | Some (i, len) ->
         if Insn.is_control_flow i then Some (addr + len - 1)
@@ -793,8 +796,7 @@ let loop_extent decode (d : Desc.loop_desc) =
   | None -> None
 
 (* extents of the loops being demoted; None if any cannot be placed *)
-let extents image (s : Schedule.t) lids =
-  let decode = Image.decode_text image in
+let extents text (s : Schedule.t) lids =
   let rec gather acc = function
     | [] -> Some acc
     | lid :: tl ->
@@ -812,16 +814,16 @@ let extents image (s : Schedule.t) lids =
              else None)
           s.Schedule.rules
       in
-      (match Option.map (loop_extent decode) desc with
+      (match Option.map (loop_extent text) desc with
        | Some (Some e) -> gather (e :: acc) tl
        | _ -> None)
   in
   gather [] lids
 
-let demote image (s : Schedule.t) lids =
+let demote_code text (s : Schedule.t) lids =
   if lids = [] then s
   else
-    match extents image s lids with
+    match extents text s lids with
     | None ->
       (* a failing loop cannot even be placed in the binary: drop the
          whole schedule — a pure DBM run is sequentially correct *)
@@ -838,8 +840,11 @@ let demote image (s : Schedule.t) lids =
       in
       { s with Schedule.rules = List.filter keep s.Schedule.rules }
 
+let demote image s lids = demote_code (Code.of_image image) s lids
+
 let check_and_demote ?pool image (s : Schedule.t) =
-  let findings = lint ?pool image s in
+  let text = Code.of_image image in
+  let findings = lint_code ?pool image text s in
   let failed = failed_loops findings in
   let unattributed =
     List.exists (fun f -> f.severity = Error && f.lid = None) findings
@@ -848,6 +853,6 @@ let check_and_demote ?pool image (s : Schedule.t) =
   else if unattributed then
     ({ s with Schedule.rules = [] }, all_lids s, findings)
   else
-    let s' = demote image s failed in
+    let s' = demote_code text s failed in
     let demoted = if s'.Schedule.rules = [] then all_lids s else failed in
     (s', demoted, findings)

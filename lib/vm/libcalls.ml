@@ -11,8 +11,7 @@
 open Janus_vx
 
 type t = {
-  code : (Insn.t * int) array;  (* indexed by byte offset from lib_base *)
-  code_len : int;
+  code : Code.t;  (* decoded at Layout.lib_base *)
   entries : (string * int) list;  (* function name -> entry address *)
   data : bytes;  (* loaded at Layout.lib_data_base *)
 }
@@ -96,22 +95,11 @@ let build () =
       ("exp", Builder.label_addr b "exp");
     ]
   in
-  let bytes = Builder.to_bytes b in
-  let code_len = Bytes.length bytes in
-  let code = Array.make code_len (Insn.Nop, 0) in
-  List.iter (fun (off, i, len) -> code.(off) <- (i, len)) (Decode.all bytes);
-  { code; code_len; entries; data = Builder.Data.contents d }
+  { code = Code.decode ~base:Layout.lib_base (Builder.to_bytes b); entries;
+    data = Builder.Data.contents d }
 
 (** Names that the VM intercepts rather than running as guest code. *)
 let intrinsic_par_for = "__par_for"
 
 let entry t name =
   List.assoc_opt name t.entries
-
-let fetch t addr =
-  let off = addr - Layout.lib_base in
-  if off < 0 || off >= t.code_len then None
-  else
-    match t.code.(off) with
-    | (_, 0) -> None  (* mid-instruction address *)
-    | (i, len) -> Some (i, len)

@@ -11,8 +11,7 @@
 open Janus_vx
 
 type t = {
-  code : (Insn.t * int) array;   (** indexed by offset from lib_base *)
-  code_len : int;
+  code : Code.t;                 (** decoded at {!Layout.lib_base} *)
   entries : (string * int) list; (** function name -> entry address *)
   data : bytes;                  (** loaded at {!Layout.lib_data_base} *)
 }
@@ -29,4 +28,3 @@ val build : unit -> t
 val intrinsic_par_for : string
 
 val entry : t -> string -> int option
-val fetch : t -> int -> (Insn.t * int) option

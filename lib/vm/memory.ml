@@ -51,10 +51,13 @@ type t = {
 
 let create () = { regions = []; pages = [||] }
 
+(* Exactly as large as the highest region needs: callers add their
+   highest region first (the fixed layout knows which), so a program
+   load grows the table once and each new set of worker regions at
+   most once more. *)
 let grow_pages t wanted =
   if wanted > Array.length t.pages then begin
-    let n = max wanted (max 64 (2 * Array.length t.pages)) in
-    let pages = Array.make n no_region in
+    let pages = Array.make wanted no_region in
     Array.blit t.pages 0 pages 0 (Array.length t.pages);
     t.pages <- pages
   end
@@ -182,7 +185,13 @@ let blit t ~addr src =
   let r = covering t addr n in
   if n > 0 then Bytes.blit src 0 r.bytes (addr - r.base) n
 
-(** Snapshot the contents of [addr..addr+n-1] (for test oracles). *)
+(** Snapshot the contents of [addr..addr+n-1] (for digests and test
+    oracles). A read-only copy: the window does not widen for it. *)
 let snapshot t addr n =
-  let r = covering t addr n in
-  if n = 0 then Bytes.empty else Bytes.sub r.bytes (addr - r.base) n
+  let r = region_of t addr in
+  if addr + n > r.start + r.size then raise (Fault (addr + n - 1));
+  let b = Bytes.make n '\000' in
+  let lo = max addr r.base
+  and hi = min (addr + n) (r.base + Bytes.length r.bytes) in
+  if lo < hi then Bytes.blit r.bytes (lo - r.base) b (lo - addr) (hi - lo);
+  b

@@ -41,7 +41,9 @@ val no_region : region
 val create : unit -> t
 
 (** Add a region; overlap checking is the caller's responsibility
-    (regions come from the fixed {!Janus_vx.Layout}). *)
+    (regions come from the fixed {!Janus_vx.Layout}). The page table
+    grows to exactly the last page the region covers, so a caller adds
+    its highest region first. *)
 val add_region : t -> name:string -> start:int -> size:int -> region
 
 val region_by_name : t -> string -> region option

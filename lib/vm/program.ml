@@ -1,12 +1,13 @@
-(** A loaded guest program: decoded code maps for application text, PLT
+(** A loaded guest program: decoded code for application text, PLT
     stubs and runtime-resolved library code, plus an initialised guest
     memory.
 
-    Decoding happens once at load into flat parallel side tables
-    (instruction, encoded length, precomputed {!Cost.of_insn}) for each
-    code range, so the executors' fetch path is a few array loads with
-    no option allocation and no per-instruction cost match. The
-    [__par_for] intrinsic's PLT slot address is also resolved at load
+    Every code range is a {!Code.t} (instruction, encoded length,
+    precomputed {!Cost.of_insn} per byte offset), so the executors'
+    fetch path is a few loads with no option allocation and no
+    per-instruction cost match. The text table comes from the caller,
+    who decodes the image once however many times it is loaded. The
+    [__par_for] intrinsic's PLT slot address is resolved at load
     ({!par_for_addr}), turning the interpreters' per-step "is this an
     intrinsic?" string lookup into one integer compare. *)
 
@@ -17,64 +18,26 @@ type t = {
   lib : Libcalls.t;
   plt : string array;  (* slot index -> external name *)
   mem : Memory.t;
-  (* flat dispatch side tables; len 0 = hole / unresolved *)
-  text_insn : Insn.t array;  (* indexed by addr - text_base *)
-  text_len : int array;
-  text_cost : int array;
-  lib_insn : Insn.t array;   (* indexed by addr - lib_base *)
-  lib_len : int array;
-  lib_cost : int array;
-  plt_insn : Insn.t array;   (* indexed by slot: Jmp to the resolved entry *)
-  plt_len : int array;
-  par_for_addr : int;        (* __par_for's PLT slot address, or -1 *)
+  text : Code.t;
+  stubs : Code.t;      (* PLT slot i at offset i * plt_slot: Jmp to its entry *)
+  par_for_addr : int;  (* __par_for's PLT slot address, or -1 *)
 }
 
-(** Classify a code address so executors know where an instruction
-    comes from; the DBM uses this to detect dynamically discovered
-    code. *)
-type code_class = App | Plt of string | Lib
-
-(* The library fragments are immutable once built (code array, entry
+(* The library fragments are immutable once built (code table, entry
    alist, data bytes are never written after construction — the data
    bytes are *copied* into each program's libdata region), so one
    instance can back every loaded program. Built eagerly at module
    init: domain-safe without a lazy. *)
 let shared_lib = Libcalls.build ()
 
-(* ... and so can its flat dispatch tables. *)
-let shared_lib_tables =
+let load ~(code : Code.t) (image : Image.t) =
+  if code.Code.base <> Layout.text_base
+     || Code.size code <> Bytes.length image.text
+  then invalid_arg "Program.load: the code table does not span the text";
   let lib = shared_lib in
-  let lib_n = max lib.Libcalls.code_len 1 in
-  let lib_insn = Array.make lib_n Insn.Nop in
-  let lib_len = Array.make lib_n 0 in
-  let lib_cost = Array.make lib_n 0 in
-  Array.iteri
-    (fun off (i, len) ->
-      if len > 0 then begin
-        lib_insn.(off) <- i;
-        lib_len.(off) <- len;
-        lib_cost.(off) <- Cost.of_insn i
-      end)
-    lib.Libcalls.code;
-  (lib_insn, lib_len, lib_cost)
-
-let load (image : Image.t) =
-  let text_bytes = max (Bytes.length image.text) 1 in
-  let text_insn = Array.make text_bytes Insn.Nop in
-  let text_len = Array.make text_bytes 0 in
-  let text_cost = Array.make text_bytes 0 in
-  List.iter
-    (fun (off, i, len) ->
-      text_insn.(off) <- i;
-      text_len.(off) <- len;
-      text_cost.(off) <- Cost.of_insn i)
-    (Decode.all image.text);
-  let lib = shared_lib in
-  let lib_insn, lib_len, lib_cost = shared_lib_tables in
   let plt = Array.of_list image.externals in
-  let plt_insn = Array.make (max (Array.length plt) 1) Insn.Nop in
-  let plt_len = Array.make (max (Array.length plt) 1) 0 in
   let par_for_addr = ref (-1) in
+  let stubs = ref [] in
   Array.iteri
     (fun i name ->
       if String.equal name Libcalls.intrinsic_par_for then
@@ -82,36 +45,41 @@ let load (image : Image.t) =
       else
         match Libcalls.entry lib name with
         | Some e ->
-          plt_insn.(i) <- Insn.Jmp (Insn.Direct e);
-          plt_len.(i) <- Layout.plt_slot
+          stubs :=
+            (i * Layout.plt_slot, Insn.Jmp (Insn.Direct e), Layout.plt_slot)
+            :: !stubs
         | None -> ())
     plt;
+  let stubs =
+    Code.of_insns ~base:Layout.plt_base
+      ~size:(Array.length plt * Layout.plt_slot) !stubs
+  in
   let mem = Memory.create () in
+  (* highest region first, so the page table grows once *)
   ignore
-    (Memory.add_region mem ~name:"data" ~start:Layout.data_base
-       ~size:(max (Bytes.length image.data) 8));
-  Memory.blit mem ~addr:Layout.data_base image.data;
-  if image.bss_size > 0 then
-    ignore
-      (Memory.add_region mem ~name:"bss" ~start:Layout.bss_base
-         ~size:image.bss_size);
-  ignore
-    (Memory.add_region mem ~name:"heap" ~start:Layout.heap_base
-       ~size:(Layout.heap_limit - Layout.heap_base));
+    (Memory.add_region mem ~name:"stack"
+       ~start:(Layout.stack_top - Layout.stack_size)
+       ~size:(Layout.stack_size + 8));
   ignore
     (Memory.add_region mem ~name:"libdata" ~start:Layout.lib_data_base
        ~size:(max (Bytes.length lib.data) 8));
   Memory.blit mem ~addr:Layout.lib_data_base lib.data;
   ignore
-    (Memory.add_region mem ~name:"stack"
-       ~start:(Layout.stack_top - Layout.stack_size)
-       ~size:(Layout.stack_size + 8));
-  { image; lib; plt; mem; text_insn; text_len; text_cost;
-    lib_insn; lib_len; lib_cost; plt_insn; plt_len;
-    par_for_addr = !par_for_addr }
+    (Memory.add_region mem ~name:"heap" ~start:Layout.heap_base
+       ~size:(Layout.heap_limit - Layout.heap_base));
+  if image.bss_size > 0 then
+    ignore
+      (Memory.add_region mem ~name:"bss" ~start:Layout.bss_base
+         ~size:image.bss_size);
+  ignore
+    (Memory.add_region mem ~name:"data" ~start:Layout.data_base
+       ~size:(max (Bytes.length image.data) 8));
+  Memory.blit mem ~addr:Layout.data_base image.data;
+  { image; lib; plt; mem; text = code; stubs; par_for_addr = !par_for_addr }
 
 let add_thread_regions t ~threads =
-  for i = 0 to threads - 1 do
+  (* highest first, as at load: one page-table growth at most *)
+  for i = threads - 1 downto 0 do
     let top = Layout.tstack_top i in
     if Memory.region_by_name t.mem (Printf.sprintf "tstack%d" i) = None then begin
       ignore
@@ -126,33 +94,10 @@ let add_thread_regions t ~threads =
     end
   done
 
-let classify t addr : code_class option =
-  if Layout.in_text addr then App
-                             |> Option.some
-  else if Layout.in_plt addr then begin
-    let i = Layout.plt_index_of_addr addr in
-    if i < Array.length t.plt then Some (Plt t.plt.(i)) else None
-  end
-  else if Layout.in_lib addr then Some Lib
-  else None
-
-(** Fetch the instruction at a code address, treating PLT slots as
-    jumps to the resolved library entry. Kept for translation-time and
-    analysis callers; the execution loops use the flat side tables
-    directly. *)
-let fetch t addr : (Insn.t * int) option =
-  if Layout.in_text addr then begin
-    let off = addr - Layout.text_base in
-    if off >= Array.length t.text_len || t.text_len.(off) = 0 then None
-    else Some (t.text_insn.(off), t.text_len.(off))
-  end
-  else if Layout.in_plt addr then begin
-    let i = Layout.plt_index_of_addr addr in
-    if i >= Array.length t.plt || addr <> Layout.plt_slot_addr i then None
-    else if t.plt_len.(i) = 0 then None  (* intrinsic or unresolved *)
-    else Some (t.plt_insn.(i), t.plt_len.(i))
-  end
-  else Libcalls.fetch t.lib addr
+let code_at t addr =
+  if Layout.in_text addr then t.text
+  else if Layout.in_plt addr then t.stubs
+  else t.lib.Libcalls.code
 
 (** The external name whose PLT slot is [addr], if any. *)
 let plt_name t addr =

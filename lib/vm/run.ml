@@ -39,8 +39,9 @@ let mem_digest (ctx : Machine.t) =
   let below_brk r = ctx.Machine.brk - r.Memory.start in
   Digest.to_hex
     (Digest.string
-       (contents "data" whole ^ contents "bss" whole
-        ^ contents "heap" below_brk))
+       (String.concat ""
+          [ contents "data" whole; contents "bss" whole;
+            contents "heap" below_brk ]))
 
 (* Return-address sentinel: no valid code lives at address 0. *)
 let sentinel = 0
@@ -50,50 +51,54 @@ let default_fuel = 200_000_000
 (** Execute starting at [ctx.rip] until the program halts or control
     returns to the sentinel address.
 
-    Fetch is allocation-free on app-text and library code: the
-    instruction, its length and its precomputed cost come from the
-    program's flat side tables, and the [__par_for] intrinsic test is
-    one compare against the address resolved at load. Only genuinely
-    cold addresses (unresolved PLT slots, bad pcs) fall back to
-    {!Program.fetch}. *)
+    Fetch is allocation-free: the instruction, its length and its
+    precomputed cost come from the program's decoded text and library
+    tables, read in place, and the [__par_for] intrinsic test is one
+    compare against the address resolved at load. Only cold addresses
+    (PLT stubs, bad pcs) look their table up through
+    {!Program.code_at}. *)
 let rec run_from prog ctx ~fuel =
   let remaining = ref fuel in
   let continue = ref true in
-  let text_insn = prog.Program.text_insn in
-  let text_len = prog.Program.text_len in
-  let text_cost = prog.Program.text_cost in
-  let text_n = Array.length text_len in
-  let lib_insn = prog.Program.lib_insn in
-  let lib_len = prog.Program.lib_len in
-  let lib_cost = prog.Program.lib_cost in
-  let lib_n = Array.length lib_len in
+  let text = prog.Program.text in
+  let text_insns = text.Code.insns in
+  let text_lens = text.Code.lens in
+  let text_costs = text.Code.costs in
+  let text_n = Bytes.length text_lens in
+  let lib = prog.Program.lib.Libcalls.code in
+  let lib_insns = lib.Code.insns in
+  let lib_lens = lib.Code.lens in
+  let lib_costs = lib.Code.costs in
+  let lib_n = Bytes.length lib_lens in
   while !continue && not ctx.Machine.halted do
     if !remaining <= 0 then raise Out_of_fuel;
     decr remaining;
     let addr = ctx.Machine.rip in
     let toff = addr - Layout.text_base in
     let loff = addr - Layout.lib_base in
-    if toff >= 0 && toff < text_n && Array.unsafe_get text_len toff <> 0
+    if toff >= 0 && toff < text_n
+       && Bytes.unsafe_get text_lens toff <> '\000'
     then begin
-      let len = Array.unsafe_get text_len toff in
+      let len = Char.code (Bytes.unsafe_get text_lens toff) in
       match
         Semantics.exec_costed ctx
-          (Array.unsafe_get text_insn toff)
+          (Array.unsafe_get text_insns toff)
           ~len
-          ~cost:(Array.unsafe_get text_cost toff)
+          ~cost:(Char.code (Bytes.unsafe_get text_costs toff))
       with
       | Semantics.Fall -> ctx.Machine.rip <- addr + len
       | Semantics.Jump -> if ctx.Machine.rip = sentinel then continue := false
       | Semantics.Stop -> continue := false
     end
-    else if loff >= 0 && loff < lib_n && Array.unsafe_get lib_len loff <> 0
+    else if loff >= 0 && loff < lib_n
+            && Bytes.unsafe_get lib_lens loff <> '\000'
     then begin
-      let len = Array.unsafe_get lib_len loff in
+      let len = Char.code (Bytes.unsafe_get lib_lens loff) in
       match
         Semantics.exec_costed ctx
-          (Array.unsafe_get lib_insn loff)
+          (Array.unsafe_get lib_insns loff)
           ~len
-          ~cost:(Array.unsafe_get lib_cost loff)
+          ~cost:(Char.code (Bytes.unsafe_get lib_costs loff))
       with
       | Semantics.Fall -> ctx.Machine.rip <- addr + len
       | Semantics.Jump -> if ctx.Machine.rip = sentinel then continue := false
@@ -106,7 +111,8 @@ let rec run_from prog ctx ~fuel =
       ctx.Machine.rip <- Int64.to_int (Semantics.pop ctx)
     end
     else begin
-      match Program.fetch prog addr with
+      let code = Program.code_at prog addr in
+      match Code.find code addr with
       | None -> raise (Bad_pc addr)
       | Some (insn, len) -> (
         match Semantics.exec ctx insn ~len with
@@ -164,7 +170,7 @@ let fresh_context prog =
 
 (** Load and run an image natively. *)
 let run ?(fuel = default_fuel) ?(input = []) ?(model_cache = false) image =
-  let prog = Program.load image in
+  let prog = Program.load ~code:(Code.of_image image) image in
   let ctx = fresh_context prog in
   ctx.Machine.model_cache <- model_cache;
   List.iter (fun v -> Queue.push v ctx.Machine.input) input;

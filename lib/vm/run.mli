@@ -43,7 +43,7 @@ val par_for : Program.t -> Machine.t -> fuel:int -> unit
 (** A fresh main-thread context at the image's entry point. *)
 val fresh_context : Program.t -> Machine.t
 
-(** Load and run an image natively. *)
+(** Decode, load and run an image natively. *)
 val run :
   ?fuel:int -> ?input:int64 list -> ?model_cache:bool -> Janus_vx.Image.t ->
   result

@@ -99,12 +99,3 @@ let of_bytes buf =
   in
   { entry = u32 4 lor (hi lsl 32); text; data; bss_size = u32 20;
     externals = externals (header_size + text_len + data_len) [] }
-
-(** Decode the text section into an address-indexed instruction table.
-    Result maps virtual address -> (instruction, encoded length). *)
-let decode_text img =
-  let tbl = Hashtbl.create 1024 in
-  List.iter
-    (fun (off, i, len) -> Hashtbl.replace tbl (Layout.text_base + off) (i, len))
-    (Decode.all img.text);
-  tbl

@@ -34,7 +34,3 @@ exception Bad_image of string
     an unterminated PLT name), and a buffer that decodes is exactly
     [to_bytes] of its image. *)
 val of_bytes : bytes -> t
-
-(** Decode the text section into an address-indexed instruction table:
-    virtual address -> (instruction, encoded length). *)
-val decode_text : t -> (int, Insn.t * int) Hashtbl.t

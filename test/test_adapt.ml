@@ -184,7 +184,7 @@ let make_ctx () =
   Builder.label b "_start";
   Builder.ins b Insn.Hlt;
   let img = Builder.to_image b ~entry:"_start" in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   Run.fresh_context prog
 
 let test_sampling_finds_dependence () =

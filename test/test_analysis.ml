@@ -27,7 +27,7 @@ let doall_src =
 
 let test_cfg_recovery () =
   let img = compile doall_src in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Janus_vx.Code.of_image img) img in
   let funcs = Cfg.all_funcs cfg in
   (* _start and main at least *)
   Alcotest.(check bool) "at least two functions" true (List.length funcs >= 2);
@@ -47,7 +47,7 @@ let test_cfg_recovery () =
 
 let test_dominators () =
   let img = compile doall_src in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Janus_vx.Code.of_image img) img in
   List.iter
     (fun f ->
        let dom = Dom.compute f in
@@ -553,7 +553,7 @@ let gen_options =
 
 let structural_invariants (src, options) =
   let img = compile ~options src in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Janus_vx.Code.of_image img) img in
   List.for_all
     (fun (f : Cfg.func) ->
        let block_addrs =

@@ -31,7 +31,7 @@ let loop_image ~n =
   Builder.to_image b ~entry:"_start"
 
 let run_dbm ?schedule image =
-  let prog = Program.load image in
+  let prog = Program.load ~code:(Code.of_image image) image in
   let dbm = Dbm.create ?schedule prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
@@ -79,7 +79,7 @@ let test_trace_promotion () =
 
 let test_cache_flush () =
   let img = loop_image ~n:10 in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
@@ -93,7 +93,7 @@ let test_cache_flush () =
 
 let test_out_of_fuel_is_typed () =
   let img = loop_image ~n:1_000_000 in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
@@ -106,7 +106,7 @@ let test_out_of_fuel_is_typed () =
    | `Yielded -> Alcotest.fail "nothing yields here");
   (* the same program with enough fuel halts normally *)
   let img' = loop_image ~n:10 in
-  let prog' = Program.load img' in
+  let prog' = Program.load ~code:(Code.of_image img') img' in
   let dbm' = Dbm.create prog' in
   let cache' = Dbm.new_cache Dbm.Main in
   let ctx' = Run.fresh_context prog' in
@@ -187,7 +187,7 @@ let test_events_fire_in_order () =
   Schedule.add_rule b (Rule.make ~addr:header_addr ~data:1L Rule.PROF_LOOP_START);
   Schedule.add_rule b (Rule.make ~addr:header_addr ~data:2L Rule.PROF_LOOP_ITER);
   let schedule = Schedule.build b in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create ~schedule prog in
   let log = ref [] in
   dbm.Dbm.on_event <-
@@ -214,18 +214,18 @@ let test_divert_action () =
   in
   (* exit block address: find it by decoding for the first syscall *)
   let exit_addr =
-    let code = Image.decode_text img in
-    Hashtbl.fold
-      (fun a (i, _) acc ->
+    List.fold_left
+      (fun acc (off, i, _) ->
          match i with
-         | Insn.Mov (Operand.Reg Reg.RDI, Operand.Reg Reg.RAX) -> min a acc
+         | Insn.Mov (Operand.Reg Reg.RDI, Operand.Reg Reg.RAX) ->
+           min (Layout.text_base + off) acc
          | _ -> acc)
-      code max_int
+      max_int (Decode.all img.Image.text)
   in
   let b = Schedule.builder Schedule.Parallelisation in
   Schedule.add_rule b (Rule.make ~addr:header_addr Rule.LOOP_INIT);
   let schedule = Schedule.build b in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create ~schedule prog in
   dbm.Dbm.on_event <- (fun _ _ _ _ -> Dbm.Divert exit_addr);
   let cache = Dbm.new_cache Dbm.Main in
@@ -240,7 +240,7 @@ let test_stop_action () =
   Schedule.add_rule b
     (Rule.make ~addr:Layout.text_base Rule.THREAD_SCHEDULE);
   let schedule = Schedule.build b in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create ~schedule prog in
   dbm.Dbm.on_event <- (fun _ _ _ _ -> Dbm.Stop_thread);
   let cache = Dbm.new_cache Dbm.Main in
@@ -262,7 +262,7 @@ let test_per_thread_specialisation () =
   let b = Schedule.builder Schedule.Parallelisation in
   Schedule.add_rule b (Rule.make ~addr:cmp_addr ~data:1L Rule.LOOP_UPDATE_BOUND);
   let schedule = Schedule.build b in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create ~schedule prog in
   let mcache = Dbm.new_cache Dbm.Main in
   let wcache = Dbm.new_cache (Dbm.Worker 0) in
@@ -303,7 +303,7 @@ let test_prefetch_insertion () =
   Schedule.add_rule sb
     (Rule.make ~addr:load_addr ~data:512L Rule.MEM_PREFETCH);
   let schedule = Schedule.build sb in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create ~schedule prog in
   let cache = Dbm.new_cache (Dbm.Worker 0) in
   let ctx = Run.fresh_context prog in
@@ -392,7 +392,7 @@ let test_dispatches_count_first_executions () =
 let test_promote_threshold_knob () =
   let img = loop_image ~n:80 in
   let run_with threshold =
-    let prog = Program.load img in
+    let prog = Program.load ~code:(Code.of_image img) img in
     let dbm = Dbm.create ~promote_threshold:threshold prog in
     let cache = Dbm.new_cache Dbm.Main in
     let ctx = Run.fresh_context prog in

@@ -129,7 +129,7 @@ type dbm_run = {
 }
 
 let run_dbm ?promote_threshold img =
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Janus_vx.Code.of_image img) img in
   let dbm = Dbm.create ?promote_threshold prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in

@@ -199,7 +199,7 @@ let make_rt () =
   Builder.label b "_start";
   Builder.ins b Insn.Hlt;
   let img = Builder.to_image b ~entry:"_start" in
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Code.of_image img) img in
   let dbm = Dbm.create prog in
   let rt = Runtime.create dbm in
   let ctx = Run.fresh_context prog in

@@ -104,7 +104,7 @@ let nested_image () =
 
 let test_nested_loop_forest () =
   let img, outer_addr, inner_addr = nested_image () in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Code.of_image img) img in
   let f = Option.get (Cfg.func cfg img.Image.entry) in
   let dom = Dom.compute f in
   let lt = Looptree.compute f dom in
@@ -134,7 +134,7 @@ let test_nested_loop_forest () =
 
 let test_loop_exits_and_preheader () =
   let img, outer_addr, inner_addr = nested_image () in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Code.of_image img) img in
   let f = Option.get (Cfg.func cfg img.Image.entry) in
   let dom = Dom.compute f in
   let lt = Looptree.compute f dom in
@@ -169,7 +169,7 @@ let test_break_loop_recovery () =
   Builder.ins b (Insn.Mov (reg Reg.RDI, imm 0));
   Builder.ins b (Insn.Syscall Insn.sys_exit);
   let img = Builder.to_image b ~entry:"_start" in
-  let cfg = Cfg.recover img in
+  let cfg = Cfg.recover ~code:(Code.of_image img) img in
   let f = Option.get (Cfg.func cfg img.Image.entry) in
   let dom = Dom.compute f in
   let lt = Looptree.compute f dom in

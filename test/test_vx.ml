@@ -416,6 +416,75 @@ let prop_decode_never_wrong =
       | _, len -> len >= 1 && len <= Bytes.length buf
       | exception Decode.Bad_encoding _ -> true)
 
+(* Decode.one and the table builder are total: on a suite text cut
+   anywhere or with any one byte flipped, both either decode or raise
+   Bad_encoding, and a length Decode.one returns stays inside the
+   buffer. Decode.one is also started at each offset before the
+   damaged byte, so mid-instruction starts are covered too. *)
+let prop_decode_total =
+  QCheck2.Test.make ~count:300
+    ~name:"decode raises only Bad_encoding under truncation and mutation"
+    QCheck2.Gen.(
+      triple (int_bound 1000)
+        (oneof [ int_bound 40; int_bound 300_000 ])
+        (int_range 1 255))
+    (fun (which, where, mask) ->
+       let images = Lazy.force suite_images in
+       let img, _ = List.nth images (which mod List.length images) in
+       let text = img.Image.text in
+       let k = where mod Bytes.length text in
+       let mutated = Bytes.copy text in
+       Bytes.set mutated k (Char.chr (Char.code (Bytes.get text k) lxor mask));
+       let one buf pos =
+         match Decode.one buf pos with
+         | _, len -> len >= 1 && pos + len <= Bytes.length buf
+         | exception Decode.Bad_encoding _ -> true
+       in
+       let table buf =
+         match Code.decode ~base:Layout.text_base buf with
+         | _ -> true
+         | exception Decode.Bad_encoding _ -> true
+       in
+       let truncated = Bytes.sub text 0 k in
+       let starts = List.init (min 24 (k + 1)) (fun d -> k - d) in
+       table truncated && table mutated
+       && List.for_all (one mutated) starts
+       && List.for_all (fun p -> p >= k || one truncated p) starts)
+
+(* The decoded table is Decode.all, laid out by offset: at each
+   instruction start its instruction, length and Cost.of_insn, and no
+   instruction anywhere else. Checked over every suite image's text
+   and over the library code, whose bytes are its instructions
+   re-encoded in address order (it is built from them). *)
+let agrees_with_decode_all (t : Code.t) buf =
+  let starts = Hashtbl.create 1024 in
+  List.iter
+    (fun (off, i, len) ->
+       Hashtbl.replace starts off ();
+       if t.Code.insns.(off) <> i || Code.len t (t.Code.base + off) <> len
+          || Char.code (Bytes.get t.Code.costs off) <> Cost.of_insn i
+       then Alcotest.failf "offset %d: table disagrees with Decode.all" off)
+    (Decode.all buf);
+  Alcotest.(check int) "size" (Bytes.length buf) (Code.size t);
+  for off = 0 to Code.size t - 1 do
+    if not (Hashtbl.mem starts off)
+       && (Code.mem t (t.Code.base + off) || t.Code.insns.(off) <> Insn.Nop)
+    then Alcotest.failf "offset %d: no instruction starts here" off
+  done
+
+let test_code_table_is_decode_all () =
+  List.iter
+    (fun (img, _) -> agrees_with_decode_all (Code.of_image img) img.Image.text)
+    (Lazy.force suite_images);
+  let lib = (Janus_vm.Libcalls.build ()).Janus_vm.Libcalls.code in
+  let b = Buffer.create (Code.size lib) in
+  for off = 0 to Code.size lib - 1 do
+    match Code.find lib (lib.Code.base + off) with
+    | Some (i, _) -> Buffer.add_bytes b (Encode.encode i)
+    | None -> ()
+  done;
+  agrees_with_decode_all lib (Buffer.to_bytes b)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -429,6 +498,7 @@ let props =
       prop_memory_operand_costs_more;
       prop_decode_never_wrong;
       prop_image_of_bytes_total;
+      prop_decode_total;
     ]
 
 let tests =
@@ -454,3 +524,5 @@ let tests =
     Alcotest.test_case "cost sanity" `Quick test_cost_sanity;
   ]
   @ props
+  @ [ Alcotest.test_case "decoded table is Decode.all" `Quick
+        test_code_table_is_decode_all ]

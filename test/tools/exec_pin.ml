@@ -67,7 +67,7 @@ let stats_fields = function
 (* what [Janus.run_dbm_only] does, with the DBM built directly so its
    promotion threshold can be 1 *)
 let run_dbm_eager ~input img =
-  let prog = Program.load img in
+  let prog = Program.load ~code:(Janus_vx.Code.of_image img) img in
   let dbm = Dbm.create ~promote_threshold:1 prog in
   let cache = Dbm.new_cache Dbm.Main in
   let ctx = Run.fresh_context prog in
