@@ -530,19 +530,9 @@ let copy_state (s : state) =
     inputs of merge (phi) atoms? Old values hidden behind a conditional
     redefinition are still dependences. *)
 let mentions ctx pred v =
-  (* the visited set, made when the walk first reaches a Merge or
-     Opaque atom: most values never do *)
-  let seen = ref None in
-  let first_visit aid =
-    match !seen with
-    | None ->
-      let tbl = Hashtbl.create 16 in
-      Hashtbl.replace tbl aid ();
-      seen := Some tbl;
-      true
-    | Some tbl ->
-      (not (Hashtbl.mem tbl aid)) && (Hashtbl.replace tbl aid (); true)
-  in
+  (* made when the walk first reaches a Merge or Opaque atom: most
+     values never do *)
+  let seen = lazy (Hashtbl.create 16) in
   let rec atom_m (a : atom) =
     pred a
     ||
@@ -550,11 +540,14 @@ let mentions ctx pred v =
     | Merge _ | Opaque _ ->
       (* opaque atoms with recorded operands (non-affine ALU results)
          are transparent too: the inputs are real dependences *)
-      first_visit a.aid
-      &&
-      (match Hashtbl.find_opt ctx.merge_srcs a.aid with
-       | Some vs -> List.exists value_m vs
-       | None -> false)
+      let seen = Lazy.force seen in
+      if Hashtbl.mem seen a.aid then false
+      else begin
+        Hashtbl.replace seen a.aid ();
+        match Hashtbl.find_opt ctx.merge_srcs a.aid with
+        | Some vs -> List.exists value_m vs
+        | None -> false
+      end
     | _ -> false
   and value_m = function
     | Vint p -> poly_m p

@@ -287,15 +287,6 @@ let is_exit = function
   | Insn.Syscall n -> n = Insn.sys_exit
   | _ -> false
 
-let rec mem_int (a : int) = function
-  | [] -> false
-  | x :: tl -> x = a || mem_int a tl
-
-let rec transform rs insn =
-  match rs with
-  | [] -> insn
-  | r :: tl -> transform tl (apply_transform r insn)
-
 (* Walk the code at [start] into [t.walked]: transformation rules
    rewrite each instruction, event rules attach to it, the fission
    filter drops it and prefetch hints go before it. A basic block ends
@@ -321,20 +312,17 @@ let walk t (cache : cache) ~trace start =
     incr n
   in
   let rec block a blocks =
-    if blocks <= 8 && not (mem_int a !seen) then begin
+    (* [memq]: an int compare, not a polymorphic one *)
+    if blocks <= 8 && not (List.memq a !seen) then begin
       seen := a :: !seen;
       insns a blocks
     end
   and insns a blocks =
     let code = Program.code_at t.prog a in
-    let off = a - code.Code.base in
-    let len =
-      if off >= 0 && off < Bytes.length code.Code.lens then
-        Char.code (Bytes.unsafe_get code.Code.lens off)
-      else 0
-    in
+    let len = Code.len code a in
     if len > 0 then begin
       incr count;
+      let off = a - code.Code.base in
       let insn = Array.unsafe_get code.Code.insns off in
       let { r_all = rs; r_events = events } =
         match Machine.Int_table.find_opt sites a with
@@ -352,7 +340,9 @@ let walk t (cache : cache) ~trace start =
                 s_cost = Char.code (Bytes.unsafe_get code.Code.costs off);
                 s_events = [] }
           else begin
-            let insn' = transform rs insn in
+            let insn' =
+              List.fold_left (fun i r -> apply_transform r i) insn rs
+            in
             List.iter push (prefetch_slots rs insn' a);
             push (slot insn' a len events)
           end
