@@ -1,6 +1,6 @@
 (** Decoded code: one immutable, offset-indexed table per code buffer
     (see code.mli). Lengths and costs are bytes: no encoding is longer
-    than 19 bytes and no instruction costs more than 150 cycles, so a
+    than 20 bytes and no instruction costs more than 150 cycles, so a
     table costs one word plus two bytes per code byte. *)
 
 type t = {
