@@ -187,10 +187,11 @@ let test_sphinx3_doacross_matches_native () =
    steady state is budgeted on its own, so a hot-path regression
    cannot hide behind that one-off work: native execution after
    [Program.load] and a DBM-only rerun over an already-warm code cache
-   each stay within 0.005 (0.0013 and 0.0004 measured). A boxed target returned per taken branch put whole
-   native runs at 0.33; that and a closure allocated per DBM dispatch
-   put DBM-only at 0.99. An int64 box per register write or memory
-   word would cost several words more.
+   each stay within 0.005 (0.0013 and 0.0004 measured). A boxed target
+   returned per taken branch put whole native runs at 0.33; that and a
+   closure allocated per DBM dispatch put DBM-only at 0.99. An int64
+   box per register write or memory word would cost several words
+   more.
 
    Two more budgets cover the one-off work. Translation, over a cold
    DBM-only pass, stays within 16 minor words per translated
@@ -209,8 +210,8 @@ let test_sphinx3_doacross_matches_native () =
    Every count is deterministic for a given build. *)
 let test_allocation_budget () =
   let programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ] in
-  (* [run] reports the words and the instructions of the window it
-     measures *)
+  (* [run] reports the minor words and the instructions of the window
+     it measures *)
   let words_per_insn run =
     let words, insns =
       List.fold_left

@@ -449,7 +449,7 @@ let prop_decode_total =
        let starts = List.init (min 24 (k + 1)) (fun d -> k - d) in
        table truncated && table mutated
        && List.for_all (one mutated) starts
-       && List.for_all (fun p -> p >= k || one truncated p) starts)
+       && List.for_all (one truncated) starts)
 
 (* The decoded table is Decode.all, laid out by offset: at each
    instruction start its instruction, length and Cost.of_insn, and no
