@@ -2,7 +2,8 @@
 # CI entry point, run from the repository root. `dune runtest` runs the
 # unit and property tests and every cheap deterministic CLI stage (see
 # test/tools/dune). This script adds the stages that are too slow for
-# it or start a daemon: full-evaluation determinism, PGO flag-off
+# it or start a daemon: full-evaluation determinism against the pinned
+# output test/tools/eval_all.expected, PGO flag-off
 # inertness, the daemon's warm, restarted and evidence-fed answers, and
 # two differential fuzz smokes.
 set -euo pipefail
@@ -43,6 +44,8 @@ eval_all j4_warm --jobs 4 --store-dir "$store"
 for name in j1_warm j4_cold j4_warm; do
   diff -u "$work/j1_cold.txt" "$work/$name.txt"
 done
+# and every figure, table and extension row is the pinned one
+diff -u test/tools/eval_all.expected "$work/j1_cold.txt"
 # the warm rerun came from disk: a fresh process with an empty memory
 # layer reports disk hits and recomputes nothing, verification included
 grep -Eq '^pipeline\.cache\.disk\.hits +[1-9]' "$work/j1_warm.metrics"

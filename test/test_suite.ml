@@ -361,6 +361,66 @@ let test_materialised_budget () =
       (List.length over) (budget / 1024)
       (String.concat ", " (List.filteri (fun i _ -> i < 3) over))
 
+(* The loop census a run reports: [selected_loops] are the chosen loops
+   the verifier left parallel, and [checks_per_loop] gives each of them
+   that carries a bounds check its Table I comparison count. The
+   programs and configurations are the hostbench [suite] workload's. *)
+let census_programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
+
+let census_configs =
+  [ ("static", Janus.config ~use_profile:false ~use_checks:false ());
+    ("profile", Janus.config ~use_checks:false ());
+    ("janus-1t", Janus.config ~threads:1 ());
+    ("janus-2t", Janus.config ~threads:2 ());
+    ("janus-4t", Janus.config ~threads:4 ());
+    ("janus-8t", Janus.config ~threads:8 ());
+    ("doacross", Janus.config ~use_doacross:true ());
+    ("prefetch", Janus.config ~model_cache:true ~prefetch:true ());
+    ("fission-4t", Janus.config ~threads:4 ~fission:true ());
+    ("adapt", Janus.config ~adapt:true ()) ]
+
+let test_census_matches_selection () =
+  let module Loopanal = Janus_analysis.Loopanal in
+  let module Desc = Janus_schedule.Desc in
+  let lid (r : Loopanal.report) = r.Loopanal.loop.Janus_analysis.Looptree.lid in
+  let pairs (r : Loopanal.report) =
+    Desc.check_pairs
+      { Desc.check_loop_id = lid r;
+        ranges =
+          List.map
+            (fun (c : Loopanal.check_range) ->
+               { Desc.base = c.Loopanal.ck_base; extent = c.Loopanal.ck_extent;
+                 width = c.Loopanal.ck_width; written = c.Loopanal.ck_written })
+            r.Loopanal.check_ranges }
+  in
+  let store = Pipeline.store () in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+       let img = Suite.compile b and input = Suite.train_input b in
+       List.iter
+         (fun (cname, cfg) ->
+            let name = b.Suite.name ^ " " ^ cname in
+            let p = Janus.prepare ~cfg ~train_input:input ~store img in
+            let r = Janus.run_parallel ~cfg ~input ~store p in
+            let deployed =
+              List.filter
+                (fun l -> not (List.mem (lid l) r.Janus.demoted_loops))
+                (List.map fst p.Janus.p_selection.Janus.chosen)
+            in
+            Alcotest.(check (list int)) (name ^ " selected loops")
+              (List.sort compare (List.map lid deployed))
+              (List.sort compare r.Janus.selected_loops);
+            Alcotest.(check (list (pair int int))) (name ^ " checks per loop")
+              (List.sort compare
+                 (List.filter_map
+                    (fun l ->
+                       if l.Loopanal.check_ranges = [] then None
+                       else Some (lid l, pairs l))
+                    deployed))
+              (List.sort compare r.Janus.checks_per_loop))
+         census_configs)
+    census_programs
+
 let tests =
   [
     Alcotest.test_case "all compile and run" `Quick test_all_compile_and_run;
@@ -370,6 +430,8 @@ let tests =
       test_allocation_budget;
     Alcotest.test_case "materialised guest memory budget" `Quick
       test_materialised_budget;
+    Alcotest.test_case "loop census matches the selection" `Quick
+      test_census_matches_selection;
     Alcotest.test_case "nine correct under full janus" `Quick
       test_nine_correct_full_janus;
     Alcotest.test_case "nine correct all configs" `Slow
