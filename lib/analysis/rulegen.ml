@@ -106,112 +106,110 @@ let loop_desc (cfgt : Cfg.t) (r : Loopanal.report) ~policy : Desc.loop_desc opti
          })
   | _ -> None
 
+(** The runtime bounds check over a loop's array footprints (Fig. 4);
+    [None] when the loop's parallel version needs none. *)
+let check_desc (r : Loopanal.report) =
+  match r.Loopanal.check_ranges with
+  | [] -> None
+  | ranges ->
+    Some
+      {
+        Desc.check_loop_id = r.Loopanal.loop.Looptree.lid;
+        ranges =
+          List.map
+            (fun (c : Loopanal.check_range) ->
+               { Desc.base = c.Loopanal.ck_base;
+                 extent = c.Loopanal.ck_extent;
+                 width = c.Loopanal.ck_width;
+                 written = c.Loopanal.ck_written })
+            ranges;
+      }
+
+(* The rules that deploy loop [r], whose descriptor sits at [desc_off]:
+   [entry] (LOOP_INIT or LOOP_FISSION) and the register spill at the
+   header, thread scheduling, yield + finish + recover at each exit, the
+   per-thread bound update, privatisation and main-stack reads. *)
+let emit_loop_rules b (r : Loopanal.report) (iv : Loopanal.iv_info) ~entry
+    ~desc_off =
+  let l = r.Loopanal.loop in
+  let lid = Int64.of_int l.Looptree.lid in
+  let add ?aux addr data id =
+    Schedule.add_rule b (Rule.make ~addr ~data ?aux id)
+  in
+  (* the entry rule triggers at the header: the first instruction the
+     loop executes, after the preheader has fully run. On the
+     sequential-fallback path the runtime gates re-firing. *)
+  add l.Looptree.header ~aux:lid (Int64.of_int desc_off) entry;
+  (* spill registers clobbered by injected code *)
+  let mask =
+    List.fold_left
+      (fun acc r -> acc lor (1 lsl Reg.gp_index r))
+      0 r.Loopanal.modified_gps
+  in
+  add l.Looptree.header ~aux:lid (Int64.of_int mask) Rule.MEM_SPILL_REG;
+  (* thread scheduling at the header, yield + finish at exits *)
+  add l.Looptree.header lid Rule.THREAD_SCHEDULE;
+  List.iter
+    (fun target ->
+       add target ~aux:lid lid Rule.THREAD_YIELD;
+       add target ~aux:lid (Int64.of_int desc_off) Rule.LOOP_FINISH;
+       add target ~aux:lid 0L Rule.MEM_RECOVER_REG)
+    (distinct_exit_targets l);
+  (* per-thread bound update at the governing compare *)
+  add iv.Loopanal.cmp_addr ~aux:iv.Loopanal.bound_adjust
+    (Int64.of_int iv.Loopanal.bound_operand_index) Rule.LOOP_UPDATE_BOUND;
+  (* privatisation *)
+  List.iter
+    (fun (insn_addr, loc) ->
+       let slot =
+         let rec find i = function
+           | [] -> 0
+           | l' :: tl ->
+             if Sympoly.loc_equal l' loc then i + 1 else find (i + 1) tl
+         in
+         find 0 r.Loopanal.privatised
+       in
+       if slot > 0 then
+         add insn_addr ~aux:lid (Int64.of_int slot) Rule.MEM_PRIVATISE)
+    r.Loopanal.priv_insns;
+  (* read-only stack accesses can target the shared main stack ...
+     except the governing compare, whose memory operand is being
+     rewritten by LOOP_UPDATE_BOUND *)
+  List.iter
+    (fun insn_addr ->
+       if insn_addr <> iv.Loopanal.cmp_addr then
+         add insn_addr ~aux:lid 0L Rule.MEM_MAIN_STACK)
+    (List.sort_uniq compare r.Loopanal.main_stack_reads)
+
 (** Emit parallelisation rules for one selected loop into [b]. Returns
     false if the loop cannot be encoded. *)
 let emit_parallel_rules (cfgt : Cfg.t) b (r : Loopanal.report) ~policy =
-  let _f = r.Loopanal.func in
-  let l = r.Loopanal.loop in
-  let lid = Int64.of_int l.Looptree.lid in
-  match r.Loopanal.loop.Looptree.preheader, r.Loopanal.iv with
-  | Some preheader, Some iv -> begin
-      match loop_desc cfgt r ~policy with
-      | None -> false
-      | Some desc ->
-        ignore preheader;
-        let desc_off = Schedule.add_loop_desc b desc in
-        (* LOOP_INIT triggers at the header: the first instruction the
-           loop executes, after the preheader has fully run. On the
-           sequential-fallback path the runtime gates re-firing. *)
-        (let init_addr = l.Looptree.header in
-           (* bounds check first (same-address rules run in order) *)
-           if r.Loopanal.check_ranges <> [] then begin
-             let cdesc =
-               {
-                 Desc.check_loop_id = l.Looptree.lid;
-                 ranges =
-                   List.map
-                     (fun (c : Loopanal.check_range) ->
-                        { Desc.base = c.Loopanal.ck_base;
-                          extent = c.Loopanal.ck_extent;
-                          width = c.Loopanal.ck_width;
-                          written = c.Loopanal.ck_written })
-                     r.Loopanal.check_ranges;
-               }
-             in
-             let coff = Schedule.add_check_desc b cdesc in
-             Schedule.add_rule b
-               (Rule.make ~addr:init_addr ~data:(Int64.of_int coff) ~aux:lid
-                  Rule.MEM_BOUNDS_CHECK)
-           end;
+  match loop_desc cfgt r ~policy, r.Loopanal.iv with
+  | Some desc, Some iv ->
+    let lid = Int64.of_int r.Loopanal.loop.Looptree.lid in
+    let desc_off = Schedule.add_loop_desc b desc in
+    (* bounds check first (same-address rules run in order) *)
+    Option.iter
+      (fun cd ->
+         let coff = Schedule.add_check_desc b cd in
+         Schedule.add_rule b
+           (Rule.make ~addr:r.Loopanal.loop.Looptree.header
+              ~data:(Int64.of_int coff) ~aux:lid Rule.MEM_BOUNDS_CHECK))
+      (check_desc r);
+    emit_loop_rules b r iv ~entry:Rule.LOOP_INIT ~desc_off;
+    (* speculation around dynamically discovered code *)
+    List.iter
+      (fun (call_addr, _) ->
+         Schedule.add_rule b
+           (Rule.make ~addr:call_addr ~data:lid Rule.TX_START);
+         match Cfg.fetch cfgt call_addr with
+         | Some (_, len) ->
            Schedule.add_rule b
-             (Rule.make ~addr:init_addr ~data:(Int64.of_int desc_off) ~aux:lid
-                Rule.LOOP_INIT);
-           (* spill registers clobbered by injected code *)
-           let mask =
-             List.fold_left
-               (fun acc r -> acc lor (1 lsl Reg.gp_index r))
-               0 r.Loopanal.modified_gps
-           in
-           Schedule.add_rule b
-             (Rule.make ~addr:init_addr ~data:(Int64.of_int mask) ~aux:lid
-                Rule.MEM_SPILL_REG));
-        (* thread scheduling at the header, yield + finish at exits *)
-        Schedule.add_rule b
-          (Rule.make ~addr:l.Looptree.header ~data:lid Rule.THREAD_SCHEDULE);
-        List.iter
-          (fun target ->
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:lid ~aux:lid Rule.THREAD_YIELD);
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:(Int64.of_int desc_off) ~aux:lid
-                  Rule.LOOP_FINISH);
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:0L ~aux:lid Rule.MEM_RECOVER_REG))
-          (distinct_exit_targets l);
-        (* per-thread bound update at the governing compare *)
-        Schedule.add_rule b
-          (Rule.make ~addr:iv.Loopanal.cmp_addr
-             ~data:(Int64.of_int iv.Loopanal.bound_operand_index)
-             ~aux:iv.Loopanal.bound_adjust Rule.LOOP_UPDATE_BOUND);
-        (* privatisation *)
-        List.iter
-          (fun (insn_addr, loc) ->
-             let slot =
-               let rec find i = function
-                 | [] -> 0
-                 | l' :: tl ->
-                   if Sympoly.loc_equal l' loc then i + 1 else find (i + 1) tl
-               in
-               find 0 r.Loopanal.privatised
-             in
-             if slot > 0 then
-               Schedule.add_rule b
-                 (Rule.make ~addr:insn_addr ~data:(Int64.of_int slot) ~aux:lid
-                    Rule.MEM_PRIVATISE))
-          r.Loopanal.priv_insns;
-        (* read-only stack accesses can target the shared main stack *)
-        (* ... except the governing compare, whose memory operand is
-           being rewritten by LOOP_UPDATE_BOUND *)
-        List.iter
-          (fun insn_addr ->
-             if insn_addr <> iv.Loopanal.cmp_addr then
-               Schedule.add_rule b
-                 (Rule.make ~addr:insn_addr ~data:0L ~aux:lid Rule.MEM_MAIN_STACK))
-          (List.sort_uniq compare r.Loopanal.main_stack_reads);
-        (* speculation around dynamically discovered code *)
-        List.iter
-          (fun (call_addr, _) ->
-             Schedule.add_rule b
-               (Rule.make ~addr:call_addr ~data:lid Rule.TX_START);
-             match Cfg.fetch cfgt call_addr with
-             | Some (_, len) ->
-               Schedule.add_rule b
-                 (Rule.make ~addr:(call_addr + len) ~data:lid Rule.TX_FINISH)
-             | None -> ())
-          (r.Loopanal.excall_sites
-           @ List.map (fun (a, t) -> (a, string_of_int t)) r.Loopanal.local_call_sites);
-        true
-    end
+             (Rule.make ~addr:(call_addr + len) ~data:lid Rule.TX_FINISH)
+         | None -> ())
+      (r.Loopanal.excall_sites
+       @ List.map (fun (a, t) -> (a, string_of_int t)) r.Loopanal.local_call_sites);
+    true
   | _ -> false
 
 (** The profiling schedule of one training run: loop and external-call
@@ -296,79 +294,24 @@ let profiling_schedule (cfgt : Cfg.t) (reports : Loopanal.report list) =
 
 let emit_fission_rules (cfgt : Cfg.t) b (r : Loopanal.report)
     (p : Depgraph.plan) =
-  let l = r.Loopanal.loop in
-  let lid = Int64.of_int l.Looptree.lid in
-  match l.Looptree.preheader, r.Loopanal.iv with
-  | Some _, Some iv -> begin
-      match loop_desc cfgt r ~policy:Desc.Chunked with
-      | None -> false
-      | Some desc ->
-        let fdesc =
-          {
-            Desc.fd_loop = desc;
-            fd_infra = p.Depgraph.pl_infra;
-            fd_groups =
-              [
-                { Desc.fg_insns = p.Depgraph.pl_product; fg_parallel = true };
-                { Desc.fg_insns = p.Depgraph.pl_residue; fg_parallel = false };
-              ];
-          }
-        in
-        (* a fission descriptor begins with its loop descriptor, so its
-           offset doubles as a loop-descriptor offset for LOOP_FINISH *)
-        let fd_off = Schedule.add_fission_desc b fdesc in
-        let init_addr = l.Looptree.header in
-        Schedule.add_rule b
-          (Rule.make ~addr:init_addr ~data:(Int64.of_int fd_off) ~aux:lid
-             Rule.LOOP_FISSION);
-        let mask =
-          List.fold_left
-            (fun acc r -> acc lor (1 lsl Reg.gp_index r))
-            0 r.Loopanal.modified_gps
-        in
-        Schedule.add_rule b
-          (Rule.make ~addr:init_addr ~data:(Int64.of_int mask) ~aux:lid
-             Rule.MEM_SPILL_REG);
-        Schedule.add_rule b
-          (Rule.make ~addr:l.Looptree.header ~data:lid Rule.THREAD_SCHEDULE);
-        List.iter
-          (fun target ->
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:lid ~aux:lid Rule.THREAD_YIELD);
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:(Int64.of_int fd_off) ~aux:lid
-                  Rule.LOOP_FINISH);
-             Schedule.add_rule b
-               (Rule.make ~addr:target ~data:0L ~aux:lid Rule.MEM_RECOVER_REG))
-          (distinct_exit_targets l);
-        Schedule.add_rule b
-          (Rule.make ~addr:iv.Loopanal.cmp_addr
-             ~data:(Int64.of_int iv.Loopanal.bound_operand_index)
-             ~aux:iv.Loopanal.bound_adjust Rule.LOOP_UPDATE_BOUND);
-        List.iter
-          (fun (insn_addr, loc) ->
-             let slot =
-               let rec find i = function
-                 | [] -> 0
-                 | l' :: tl ->
-                   if Sympoly.loc_equal l' loc then i + 1 else find (i + 1) tl
-               in
-               find 0 r.Loopanal.privatised
-             in
-             if slot > 0 then
-               Schedule.add_rule b
-                 (Rule.make ~addr:insn_addr ~data:(Int64.of_int slot) ~aux:lid
-                    Rule.MEM_PRIVATISE))
-          r.Loopanal.priv_insns;
-        List.iter
-          (fun insn_addr ->
-             if insn_addr <> iv.Loopanal.cmp_addr then
-               Schedule.add_rule b
-                 (Rule.make ~addr:insn_addr ~data:0L ~aux:lid
-                    Rule.MEM_MAIN_STACK))
-          (List.sort_uniq compare r.Loopanal.main_stack_reads);
-        true
-    end
+  match loop_desc cfgt r ~policy:Desc.Chunked, r.Loopanal.iv with
+  | Some desc, Some iv ->
+    let fdesc =
+      {
+        Desc.fd_loop = desc;
+        fd_infra = p.Depgraph.pl_infra;
+        fd_groups =
+          [
+            { Desc.fg_insns = p.Depgraph.pl_product; fg_parallel = true };
+            { Desc.fg_insns = p.Depgraph.pl_residue; fg_parallel = false };
+          ];
+      }
+    in
+    (* a fission descriptor begins with its loop descriptor, so its
+       offset doubles as a loop-descriptor offset for LOOP_FINISH *)
+    let desc_off = Schedule.add_fission_desc b fdesc in
+    emit_loop_rules b r iv ~entry:Rule.LOOP_FISSION ~desc_off;
+    true
   | _ -> false
 
 (** {2 Software prefetching (extension)}

@@ -11,6 +11,11 @@ module Rexpr = Janus_schedule.Rexpr
 val loop_desc :
   Cfg.t -> Loopanal.report -> policy:Desc.policy -> Desc.loop_desc option
 
+(** The runtime bounds check over a selected loop's array footprints
+    (Fig. 4) that its MEM_BOUNDS_CHECK rule carries; [None] when the
+    loop's parallel version needs no check. *)
+val check_desc : Loopanal.report -> Desc.check_desc option
+
 (** The profiling schedule a training run interprets (§II-C):
     PROF_LOOP_START/ITER/FINISH for every feasible loop, EXCALL probes
     around its shared-library calls, and PROF_MEM_ACCESS on exactly the

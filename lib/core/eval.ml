@@ -269,24 +269,7 @@ let table1_row ctx (b : Suite.benchmark) =
      or not the profile ultimately selects it (as the paper does) *)
   let checks =
     List.filter_map
-      (fun (r : Loopanal.report) ->
-         match r.Loopanal.check_ranges with
-         | [] -> None
-         | ranges ->
-           let cd =
-             {
-               Janus_schedule.Desc.check_loop_id = 0;
-               ranges =
-                 List.map
-                   (fun (c : Loopanal.check_range) ->
-                      { Janus_schedule.Desc.base = c.Loopanal.ck_base;
-                        extent = c.Loopanal.ck_extent;
-                        width = c.Loopanal.ck_width;
-                        written = c.Loopanal.ck_written })
-                   ranges;
-             }
-           in
-           Some (Janus_schedule.Desc.check_pairs cd))
+      (fun r -> Option.map Janus.Desc.check_pairs (Janus.Rulegen.check_desc r))
       analysis.Analysis.reports
   in
   let n = List.length checks in
@@ -361,15 +344,11 @@ let fig10_row ctx (b : Suite.benchmark) =
     Janus.prepare ~cfg:(Janus.config ()) ~train_input:(Suite.train_input b)
       ?evidence:(ctx.evidence img) ~store:ctx.store ?pool:ctx.pool img
   in
-  let r =
-    Janus.run_parallel ~cfg:(Janus.config ()) ~input:(Suite.train_input b)
-      ~store:ctx.store ?pool:ctx.pool p
-  in
   {
     f10_name = b.Suite.name;
     f10_ratio =
-      float_of_int r.Janus.schedule_size
-      /. float_of_int r.Janus.executable_size;
+      float_of_int (Janus.Schedule.size p.Janus.p_schedule)
+      /. float_of_int (Janus_vx.Image.size img);
   }
 
 let fig10 ?(ctx = default_ctx) () =
@@ -537,6 +516,13 @@ let pp_ext_doacross ppf rows =
 (* Extension: software prefetching via MEM_PREFETCH rules              *)
 (* ------------------------------------------------------------------ *)
 
+(* rules of kind [id] in a prepared schedule *)
+let count_rules id (p : Janus.prepared) =
+  List.length
+    (List.filter
+       (fun (r : Janus_schedule.Rule.t) -> r.Janus_schedule.Rule.id = id)
+       p.Janus.p_schedule.Janus.Schedule.rules)
+
 type ext_prefetch_row = {
   epf_name : string;
   epf_janus : float;     (* full Janus under the cache-miss model *)
@@ -561,18 +547,7 @@ let ext_prefetch_row ctx (b : Suite.benchmark) =
   in
   let _, base = go (Janus.config ~model_cache:true ()) in
   let prepared_pf, pf = go (Janus.config ~model_cache:true ~prefetch:true ()) in
-  let rules =
-    Hashtbl.fold
-      (fun _ rs acc ->
-         acc
-         + List.length
-             (List.filter
-                (fun (r : Janus_schedule.Rule.t) ->
-                   r.Janus_schedule.Rule.id = Janus_schedule.Rule.MEM_PREFETCH)
-                rs))
-      (Janus_schedule.Schedule.index prepared_pf.Janus.p_schedule)
-      0
-  in
+  let rules = count_rules Janus_schedule.Rule.MEM_PREFETCH prepared_pf in
   {
     epf_name = b.Suite.name;
     epf_janus = Janus.speedup ~native ~run:base;
@@ -698,18 +673,7 @@ let ext_fission_row ctx (b : Suite.benchmark) =
   let pf, fission = go (Janus.config ~threads:4 ~fission:true ()) in
   if not (String.equal native.Janus.output fission.Janus.output) then
     failwith (b.Suite.name ^ ": fission output diverges from native");
-  let rules =
-    Hashtbl.fold
-      (fun _ rs acc ->
-         acc
-         + List.length
-             (List.filter
-                (fun (r : Janus_schedule.Rule.t) ->
-                   r.Janus_schedule.Rule.id = Janus_schedule.Rule.LOOP_FISSION)
-                rs))
-      (Janus_schedule.Schedule.index pf.Janus.p_schedule)
-      0
-  in
+  let rules = count_rules Janus_schedule.Rule.LOOP_FISSION pf in
   let counter name =
     match fission.Janus.obs with
     | None -> 0

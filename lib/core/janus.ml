@@ -22,6 +22,7 @@ module Profiler = Janus_profile.Profiler
 module Dbm = Janus_dbm.Dbm
 module Runtime = Janus_runtime.Runtime
 module Schedule = Janus_schedule.Schedule
+module Rule = Janus_schedule.Rule
 module Desc = Janus_schedule.Desc
 module Verify = Janus_verify.Verify
 module Obs = Janus_obs.Obs
@@ -238,10 +239,8 @@ let prepare ?(cfg = config ()) ?(train_input = []) ?evidence ?store ?pool
 (* loop ids carried in the [aux] field of every rule with this id *)
 let rule_loops (schedule : Schedule.t) id =
   List.filter_map
-    (fun (r : Janus_schedule.Rule.t) ->
-       if r.Janus_schedule.Rule.id = id then
-         Some (Int64.to_int r.Janus_schedule.Rule.aux)
-       else None)
+    (fun (r : Rule.t) ->
+       if r.Rule.id = id then Some (Int64.to_int r.Rule.aux) else None)
     schedule.Schedule.rules
   |> List.sort_uniq compare
 
@@ -255,14 +254,35 @@ let gate ~cfg ?store ?pool image schedule =
     | Some store -> Pipeline.verify ~store ?pool image schedule
     | None -> Verify.check_and_demote ?pool image schedule
 
-(* The execute step both entry points share once their gate has run:
-   run [input] under the DBM with [schedule] and the parallel runtime
-   attached, and report the run. [code] is the image's decoded text;
-   [register] enrols the deployed loops with the governor when
-   [cfg.adapt] makes one; [schedule_size] is the size reported,
-   [selected] and [checks] the loops reported. *)
-let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
-    ~register ~code image =
+(* The execute step both entry points share: gate [shipped], then run
+   [input] under the DBM with the gated schedule and the parallel
+   runtime attached. The DBM knows a loop only through its rules, and
+   so does the report: the deployed loops are those the gated schedule
+   initialises (by LOOP_INIT or LOOP_FISSION), in ascending order, and
+   each MEM_BOUNDS_CHECK descriptor gives its loop's comparison count.
+   With [cfg.adapt], a [suspect] loop enrols in the governor's
+   probation, and a checked loop counts as profiled only when
+   [profiled] says dependence profiles back its selection. [code] is
+   the image's decoded text. *)
+let execute ~cfg ~input ?store ?pool ~code ~profiled ~suspect image shipped =
+  let schedule, demoted, _ = gate ~cfg ?store ?pool image shipped in
+  let selected =
+    List.sort_uniq compare
+      (rule_loops schedule Rule.LOOP_INIT @ rule_loops schedule Rule.LOOP_FISSION)
+  in
+  (* only an unverified schedule can carry a descriptor that does not
+     decode; it is left out of the count, not raised here *)
+  let checks =
+    List.filter_map
+      (fun (r : Rule.t) ->
+         if r.Rule.id <> Rule.MEM_BOUNDS_CHECK then None
+         else
+           match Schedule.check_desc schedule r.Rule.data with
+           | cd -> Some (Int64.to_int r.Rule.aux, Desc.check_pairs cd)
+           | exception _ -> None)
+      schedule.Schedule.rules
+    |> List.sort compare
+  in
   let prog = Program.load ~code image in
   let obs = Obs.create ~enabled:cfg.trace () in
   let dbm = Dbm.create ~schedule ~obs prog in
@@ -273,7 +293,16 @@ let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
   let governor =
     if cfg.adapt then Some (Adapt.create ~obs ()) else None
   in
-  Option.iter register governor;
+  Option.iter
+    (fun g ->
+       List.iter
+         (fun l ->
+            if List.mem l suspect then Adapt.register_suspect g l
+            else
+              Adapt.register g l
+                ~profiled:(profiled || not (List.mem_assoc l checks)))
+         selected)
+    governor;
   let rt = Runtime.create ~config:rt_config ?adapt:governor dbm in
   Runtime.install rt;
   let ctx = Run.fresh_context prog in
@@ -293,66 +322,23 @@ let execute ~cfg ~input ~schedule ~schedule_size ~selected ~demoted ~checks
       Some (Out_of_fuel { addr; loop = Some rt.Runtime.current_loop })
   in
   Runtime.publish_metrics rt obs;
-  result_of_dbm_run image ~schedule_size ~selected ~demoted ~checks ?aborted
-    ?governor ~obs dbm ctx
+  result_of_dbm_run image ~schedule_size:(Schedule.size shipped) ~selected
+    ~demoted ~checks ?aborted ?governor ~obs dbm ctx
 
 (** Stage 3: run the program under the DBM with the parallelisation
-    schedule (the "Parallelisation Stage"). *)
+    schedule (the "Parallelisation Stage"). A checked loop counts as
+    profiled when dependence profiling ran; a loop whose aggregated
+    fleet history is suspect (demotions, failed checks in earlier runs)
+    warm-starts in the governor's probation instead of re-earning its
+    first demotion from scratch. *)
 let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
-  let schedule, demoted, _ = gate ~cfg ?store ?pool p.p_image p.p_schedule in
-  let lid (r : Loopanal.report) = r.Loopanal.loop.Janus_analysis.Looptree.lid in
-  let chosen = List.map fst p.p_selection.chosen in
-  (* A loop counts as profiled when its selection rests on evidence:
-     static-class loops always, dynamic (checked) loops only when
-     dependence profiling actually ran. Unprofiled dynamic loops start
-     in the governor's training-free sampling state. A loop whose
-     aggregated fleet history is suspect (demotions, failed checks in
-     earlier runs) warm-starts in probation instead of re-earning its
-     first demotion from scratch. *)
-  let register g =
-    let suspect =
-      match p.p_evidence with
-      | Some e -> e.Pipeline.ev_suspect
-      | None -> []
-    in
-    List.iter
-      (fun r ->
-         let l = lid r in
-         if not (List.mem l demoted) then
-           if List.mem l suspect then Adapt.register_suspect g l
-           else
-             Adapt.register g l
-               ~profiled:(r.Loopanal.check_ranges = [] || p.p_deps <> None))
-      chosen
-  in
-  let selected =
-    List.filter (fun l -> not (List.mem l demoted)) (List.map lid chosen)
-  in
-  let checks =
-    List.filter_map
-      (fun (r : Loopanal.report) ->
-         if r.Loopanal.check_ranges = [] then None
-         else
-           let cd =
-             {
-               Desc.check_loop_id = lid r;
-               ranges =
-                 List.map
-                   (fun (c : Loopanal.check_range) ->
-                      { Desc.base = c.Loopanal.ck_base;
-                        extent = c.Loopanal.ck_extent;
-                        width = c.Loopanal.ck_width;
-                        written = c.Loopanal.ck_written })
-                   r.Loopanal.check_ranges;
-             }
-           in
-           Some (lid r, Desc.check_pairs cd))
-      chosen
+  let suspect =
+    match p.p_evidence with Some e -> e.Pipeline.ev_suspect | None -> []
   in
   let res =
-    execute ~cfg ~input ~schedule ~schedule_size:(Schedule.size p.p_schedule)
-      ~selected ~demoted ~checks ~register
-      ~code:p.p_analysis.Analysis.cfg.Janus_analysis.Cfg.code p.p_image
+    execute ~cfg ~input ?store ?pool
+      ~code:p.p_analysis.Analysis.cfg.Janus_analysis.Cfg.code
+      ~profiled:(p.p_deps <> None) ~suspect p.p_image p.p_schedule
   in
   (* fission census: how many Static-Dependence loops were examined,
      how many the schedule split, and how the verifier judged those *)
@@ -361,8 +347,10 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
      let is_static_dep (r : Loopanal.report) =
        match r.Loopanal.cls with Loopanal.Static_dep _ -> true | _ -> false
      in
-     let split = rule_loops p.p_schedule Janus_schedule.Rule.LOOP_FISSION in
-     let split_demoted = List.filter (fun l -> List.mem l demoted) split in
+     let split = rule_loops p.p_schedule Rule.LOOP_FISSION in
+     let split_demoted =
+       List.filter (fun l -> List.mem l res.demoted_loops) split
+     in
      Obs.set obs "fission.considered"
        (List.length (List.filter is_static_dep p.p_analysis.Analysis.reports));
      Obs.set obs "fission.split" (List.length split);
@@ -375,31 +363,12 @@ let run_parallel ?(cfg = config ()) ?(input = []) ?store ?pool (p : prepared) =
 (** Run under the DBM with a pre-generated rewrite schedule — the
     paper's deployment model: the schedule is produced offline by the
     static analyser and shipped next to the binary; no analysis happens
-    at run time. *)
+    at run time, so the text is decoded here, and no profile ships
+    beside the schedule, so a checked loop starts in the governor's
+    training-free sampling state. *)
 let run_scheduled ?(cfg = config ()) ?(input = []) ?pool image schedule =
-  let shipped_size = Schedule.size schedule in
-  let schedule, demoted, _ = gate ~cfg ?pool image schedule in
-  (* the deployed loop set is whatever the shipped schedule initialises
-     — by LOOP_INIT or by LOOP_FISSION *)
-  let rule_loops id = rule_loops schedule id in
-  let selected =
-    List.sort_uniq compare
-      (rule_loops Janus_schedule.Rule.LOOP_INIT
-       @ rule_loops Janus_schedule.Rule.LOOP_FISSION)
-  in
-  (* Deployment model: the schedule ships alone, with no profile beside
-     it — so a checked (Dynamic-class) loop carries no dependence
-     evidence and starts in the governor's training-free sampling
-     state; unchecked loops were proven statically. *)
-  let register g =
-    let checked = rule_loops Janus_schedule.Rule.MEM_BOUNDS_CHECK in
-    List.iter
-      (fun l -> Adapt.register g l ~profiled:(not (List.mem l checked)))
-      selected
-  in
-  (* no analysis ships with the schedule: the text is decoded here *)
-  execute ~cfg ~input ~schedule ~schedule_size:shipped_size ~selected
-    ~demoted ~checks:[] ~register ~code:(Code.of_image image) image
+  execute ~cfg ~input ?pool ~code:(Code.of_image image) ~profiled:false
+    ~suspect:[] image schedule
 
 (** The whole pipeline: analyse, profile on the training input, select,
     parallelise, run on the reference input. *)

@@ -121,12 +121,14 @@ type result = {
   stats : Dbm.stats option;  (** DBM counters; [None] for native runs *)
   schedule_size : int;       (** rewrite-schedule bytes (Fig. 10) *)
   executable_size : int;     (** JX image bytes *)
-  selected_loops : int list; (** loop ids parallelised *)
+  selected_loops : int list;
+      (** loop ids the (gated) schedule deploys, in ascending order *)
   demoted_loops : int list;
       (** loop ids the schedule verifier degraded to sequential
           execution (empty under [verify = false]) *)
   checks_per_loop : (int * int) list;
-      (** loop id -> pairwise range comparisons (Table I) *)
+      (** loop id -> pairwise range comparisons (Table I) of each
+          deployed loop's bounds check, in ascending loop order *)
   stm_commits : int;
   stm_aborts : int;
   mem_digest : string;
@@ -229,7 +231,12 @@ val gate :
 (** Stage 3: execute under the DBM with the parallelisation schedule.
     Reusable with different thread counts on one {!prepared}. The
     schedule first passes {!gate} on [store], so a sweep over one
-    {!prepared} on one store verifies its schedule once. *)
+    {!prepared} on one store verifies its schedule once. As in
+    {!run_scheduled}, the result's [selected_loops] and
+    [checks_per_loop] are read from the gated schedule's rules. With
+    [cfg.adapt], a checked loop enrols in the governor as profiled when
+    the prepared run has dependence profiles, and a loop the fleet
+    evidence marks suspect starts in probation. *)
 val run_parallel :
   ?cfg:config ->
   ?input:int64 list ->
@@ -241,9 +248,12 @@ val run_parallel :
 (** Run under the DBM with a pre-generated rewrite schedule (e.g.
     deserialised from disk): the paper's deployment model, where the
     schedule ships next to the binary and no analysis happens at run
-    time. [selected_loops]/[checks_per_loop] are empty in the result —
-    the runner only knows the rules. The schedule first passes {!gate},
-    storeless. *)
+    time. The schedule first passes {!gate}, storeless. Both entry
+    points report the loops the gated schedule deploys (its LOOP_INIT
+    and LOOP_FISSION rules), in ascending order, and each one's bounds
+    check comparisons; no profile ships with the schedule, so with
+    [cfg.adapt] a checked loop starts in the governor's training-free
+    sampling state. *)
 val run_scheduled :
   ?cfg:config ->
   ?input:int64 list ->

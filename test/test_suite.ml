@@ -362,9 +362,11 @@ let test_materialised_budget () =
       (String.concat ", " (List.filteri (fun i _ -> i < 3) over))
 
 (* The loop census a run reports: [selected_loops] are the chosen loops
-   the verifier left parallel, and [checks_per_loop] gives each of them
-   that carries a bounds check its Table I comparison count. The
-   programs and configurations are the hostbench [suite] workload's. *)
+   the verifier left parallel, in ascending order, and [checks_per_loop]
+   gives each of them that carries a bounds check its Table I comparison
+   count. A shipped schedule reports the same census as the prepared
+   one it was written from. The programs and configurations are the
+   hostbench [suite] workload's. *)
 let census_programs = Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
 
 let census_configs =
@@ -409,7 +411,7 @@ let test_census_matches_selection () =
             in
             Alcotest.(check (list int)) (name ^ " selected loops")
               (List.sort compare (List.map lid deployed))
-              (List.sort compare r.Janus.selected_loops);
+              r.Janus.selected_loops;
             Alcotest.(check (list (pair int int))) (name ^ " checks per loop")
               (List.sort compare
                  (List.filter_map
@@ -417,7 +419,25 @@ let test_census_matches_selection () =
                        if l.Loopanal.check_ranges = [] then None
                        else Some (lid l, pairs l))
                     deployed))
-              (List.sort compare r.Janus.checks_per_loop))
+              r.Janus.checks_per_loop;
+            let shipped =
+              Janus.run_scheduled ~cfg ~input img
+                Janus.Schedule.(of_bytes (to_bytes p.Janus.p_schedule))
+            in
+            let census (r : Janus.result) =
+              ( r.Janus.selected_loops, r.Janus.checks_per_loop,
+                r.Janus.demoted_loops )
+            in
+            Alcotest.(check (triple (list int) (list (pair int int)) (list int)))
+              (name ^ " shipped census") (census r) (census shipped);
+            Alcotest.(check (pair string string)) (name ^ " shipped state")
+              (r.Janus.output, r.Janus.mem_digest)
+              (shipped.Janus.output, shipped.Janus.mem_digest);
+            (* no profile ships with a schedule, so the governor samples
+               its checked loops first and spends cycles doing so *)
+            if not cfg.Janus.adapt then
+              Alcotest.(check int) (name ^ " shipped cycles") r.Janus.cycles
+                shipped.Janus.cycles)
          census_configs)
     census_programs
 

@@ -333,15 +333,40 @@ let with_dangling_update_bound (s : Schedule.t) =
 
 let test_corrupt_schedule_runs_sequentially () =
   (* drop one loop's LOOP_FINISH rules: the verifier must demote that
-     loop and the run must still produce bit-identical output *)
+     loop, neither entry point may report it as deployed, checked or
+     governed, and the run must still produce bit-identical output *)
   let p = Lazy.force prepared in
   let native = Janus.run_native p.Janus.p_image in
   let victim, corrupted = without_loop_finish p.Janus.p_schedule in
-  let run = Janus.run_scheduled p.Janus.p_image corrupted in
-  Alcotest.(check bool) "verifier demoted the corrupted loop" true
-    (List.mem victim run.Janus.demoted_loops);
-  Alcotest.(check string) "output bit-identical to native"
-    native.Janus.output run.Janus.output;
+  List.iter
+    (fun adapt ->
+       let cfg = Janus.config ~adapt () in
+       List.iter
+         (fun (entry, (run : Janus.result)) ->
+            let name what =
+              Printf.sprintf "%s%s: %s" entry
+                (if adapt then " (adapt)" else "") what
+            in
+            Alcotest.(check bool) (name "verifier demoted the corrupted loop")
+              true (List.mem victim run.Janus.demoted_loops);
+            Alcotest.(check bool) (name "victim not selected") false
+              (List.mem victim run.Janus.selected_loops);
+            Alcotest.(check bool) (name "victim not checked") false
+              (List.mem_assoc victim run.Janus.checks_per_loop);
+            Alcotest.(check bool) (name "victim not governed") false
+              (match run.Janus.governor with
+               | Some g ->
+                 List.exists
+                   (fun (s : Janus.Adapt.loop_stats) ->
+                      s.Janus.Adapt.loop_id = victim)
+                   (Janus.Adapt.snapshot g)
+               | None -> false);
+            Alcotest.(check string) (name "output bit-identical to native")
+              native.Janus.output run.Janus.output)
+         [ ("run_scheduled", Janus.run_scheduled ~cfg p.Janus.p_image corrupted);
+           ("run_parallel",
+            Janus.run_parallel ~cfg { p with Janus.p_schedule = corrupted }) ])
+    [ false; true ];
   (* with verification off the corruption reaches the DBM unfiltered
      (the demotion list stays empty) *)
   let unchecked =
