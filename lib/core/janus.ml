@@ -88,7 +88,7 @@ type result = {
   stats : Dbm.stats option;
   schedule_size : int;         (* bytes; 0 when no schedule *)
   executable_size : int;
-  selected_loops : int list;   (* loop ids parallelised *)
+  selected_loops : int list;   (* loop ids deployed, ascending *)
   demoted_loops : int list;    (* loop ids the verifier degraded to
                                   sequential execution *)
   checks_per_loop : (int * int) list;  (* loop id -> pairwise comparisons *)

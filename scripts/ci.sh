@@ -2,10 +2,10 @@
 # CI entry point, run from the repository root. `dune runtest` runs the
 # unit and property tests and every cheap deterministic CLI stage (see
 # test/tools/dune). This script adds the stages that are too slow for
-# it or start a daemon: full-evaluation determinism against the pinned
-# output test/tools/eval_all.expected, PGO flag-off
-# inertness, the daemon's warm, restarted and evidence-fed answers, and
-# two differential fuzz smokes.
+# it or start a daemon: full-evaluation determinism and its diff against
+# the pinned test/tools/eval_all.expected, PGO flag-off inertness, the
+# daemon's warm, restarted and evidence-fed answers, and two
+# differential fuzz smokes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
