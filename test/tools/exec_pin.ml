@@ -11,8 +11,11 @@
    host benchmark's [suite] workload, plus the STM-everywhere ablation
    and a forced round-robin policy, then the deployment path: the
    default configuration's schedule, shipped through its byte form
-   and run by [Janus.run_scheduled]. Each program gets one fresh
-   artifact store shared by its configurations.
+   and run by [Janus.run_scheduled], and full Janus at 8 threads with
+   fission on and the DBM built at promotion threshold 1, so worker
+   yields, transactions and fission elision run in traces. Each
+   program gets one fresh artifact store shared by its
+   configurations.
 
    Then one [profile] row per suite program (all 25, the adversarial
    pair and adv.fission), as [Pipeline.profile] computes it for the
@@ -28,6 +31,7 @@ module Pipeline = Janus_core.Pipeline
 module Dbm = Janus_dbm.Dbm
 module Desc = Janus_schedule.Desc
 module Program = Janus_vm.Program
+module Runtime = Janus_runtime.Runtime
 module Run = Janus_vm.Run
 module Machine = Janus_vm.Machine
 module Profiler = Janus_profile.Profiler
@@ -35,7 +39,13 @@ module Schedule = Janus_schedule.Schedule
 
 let programs = Janus_core.Eval.nine @ Suite.adversarial @ [ Suite.adv_fission ]
 
-type mode = Native | Dbm_only | Dbm_eager | Par of Janus.config | Scheduled
+type mode =
+  | Native
+  | Dbm_only
+  | Dbm_eager
+  | Par of Janus.config
+  | Scheduled
+  | Par_eager of Janus.config
 
 let modes =
   [ ("native", Native);
@@ -54,7 +64,8 @@ let modes =
     ("stm-everywhere", Par (Janus.config ~stm_everywhere:true ()));
     ("round-robin-4",
      Par (Janus.config ~force_policy:(Desc.Round_robin 4) ()));
-    ("scheduled", Scheduled) ]
+    ("scheduled", Scheduled);
+    ("janus-8t-promote1", Par_eager (Janus.config ~threads:8 ~fission:true ())) ]
 
 let stats_fields = function
   | None -> "-"
@@ -64,18 +75,37 @@ let stats_fields = function
       s.Dbm.translated_insns s.Dbm.cache_flushes s.Dbm.stm_commits
       s.Dbm.stm_aborts
 
+let run_to_halt name dbm cache ~input prog =
+  let ctx = Run.fresh_context prog in
+  List.iter (fun v -> Queue.push v ctx.Machine.input) input;
+  (match Dbm.run dbm cache ctx with
+   | `Halted -> ()
+   | `Yielded | `Out_of_fuel _ -> failwith (name ^ ": did not halt"));
+  (ctx, dbm.Dbm.stats)
+
 (* what [Janus.run_dbm_only] does, with the DBM built directly so its
    promotion threshold can be 1 *)
 let run_dbm_eager ~input img =
   let prog = Program.load ~code:(Janus_vx.Code.of_image img) img in
   let dbm = Dbm.create ~promote_threshold:1 prog in
-  let cache = Dbm.new_cache Dbm.Main in
-  let ctx = Run.fresh_context prog in
-  List.iter (fun v -> Queue.push v ctx.Machine.input) input;
-  (match Dbm.run dbm cache ctx with
-   | `Halted -> ()
-   | `Yielded | `Out_of_fuel _ -> failwith "dbm-promote1: did not halt");
-  (ctx, dbm.Dbm.stats)
+  run_to_halt "dbm-promote1" dbm (Dbm.new_cache Dbm.Main) ~input prog
+
+(* what [Janus.run_parallel] does over the gated schedule, with the DBM
+   built as [run_dbm_eager] builds it and the runtime installed *)
+let run_janus_eager ~cfg ~input ~store img =
+  let p = Janus.prepare ~cfg ~train_input:input ~store img in
+  let schedule, _, _ = Janus.gate ~cfg ~store img p.Janus.p_schedule in
+  let prog = Program.load ~code:(Janus_vx.Code.of_image img) img in
+  let dbm = Dbm.create ~schedule ~promote_threshold:1 prog in
+  let rt =
+    Runtime.create dbm
+      ~config:
+        { Runtime.threads = cfg.Janus.threads;
+          force_policy = cfg.Janus.force_policy;
+          stm_everywhere = cfg.Janus.stm_everywhere; fuel = cfg.Janus.fuel }
+  in
+  Runtime.install rt;
+  run_to_halt "janus-8t-promote1" dbm rt.Runtime.main_cache ~input prog
 
 let () =
   List.iter
@@ -96,15 +126,17 @@ let () =
               ~cycles:r.Janus.cycles ~icount:r.Janus.icount
               ~mem:r.Janus.mem_digest r.Janus.stats
           in
-          match mode with
-          | Native -> print_result (Janus.run_native ~input img)
-          | Dbm_only -> print_result (Janus.run_dbm_only ~input img)
-          | Dbm_eager ->
-            let ctx, stats = run_dbm_eager ~input img in
+          let print_run ((ctx : Machine.t), stats) =
             print name ~output:(Buffer.contents ctx.Machine.out)
               ~exit_code:ctx.Machine.exit_code ~cycles:ctx.Machine.cycles
               ~icount:ctx.Machine.icount ~mem:(Run.mem_digest ctx)
               (Some stats)
+          in
+          match mode with
+          | Native -> print_result (Janus.run_native ~input img)
+          | Dbm_only -> print_result (Janus.run_dbm_only ~input img)
+          | Dbm_eager -> print_run (run_dbm_eager ~input img)
+          | Par_eager cfg -> print_run (run_janus_eager ~cfg ~input ~store img)
           | Par cfg ->
             let p = Janus.prepare ~cfg ~train_input:input ~store img in
             print_result (Janus.run_parallel ~cfg ~input ~store p)
