@@ -27,12 +27,23 @@ type slot = {
   s_events : Rule.t list;
 }
 
+(* How a fragment execution ends. On [Next], [ctx.rip] holds the
+   application address control continues at. *)
+type outcome =
+  | Next
+  | Halted
+  | Yielded           (* an event handler stopped the thread *)
+
+(* A basic block runs its slots through the slot loop; a trace runs as
+   one chain of compiled slots. *)
+type code = Block | Trace of (Machine.t -> outcome)
+
 type fragment = {
   f_start : int;
   f_slots : slot array;
   f_ends_indirect : bool; (* last slot is an indirect jmp/call or a ret *)
   mutable f_execs : int;
-  f_is_trace : bool;
+  f_code : code;
   mutable f_linked : bool;
 }
 
@@ -360,58 +371,17 @@ let walk t (cache : cache) ~trace start =
   block start 0;
   (!n, !count)
 
-(* Build the fragment at [addr] (a trace if [trace]) into [cache],
-   charging its translation to [ctx]. A basic block counts in
-   [translated_insns] and [fragments_built] and announces a resolved
-   library entry; a trace counts in [traces_built], keeps the [execs]
-   of the fragment it replaces and starts linked. *)
-let build t (cache : cache) ctx ~trace ~execs addr =
-  let n, count = walk t cache ~trace addr in
-  let slots = Array.sub t.walked 0 n in
-  let cost = Cost.fragment_setup + (Cost.translate_per_insn * count) in
-  let t0 = ctx.Machine.cycles in
-  ctx.Machine.cycles <- t0 + cost;
-  let s = t.stats in
-  s.translate_cycles <- s.translate_cycles + cost;
-  (match cache.kind with
-   | Main -> s.translate_cycles_main <- s.translate_cycles_main + cost
-   | Worker _ -> ());
-  if trace then s.traces_built <- s.traces_built + 1
-  else begin
-    s.translated_insns <- s.translated_insns + count;
-    s.fragments_built <- s.fragments_built + 1
-  end;
-  (match t.obs with
-   | Some o when Obs.tracing o ->
-     let tid = tid_of cache.kind in
-     Obs.emit o ~tid ~ts:t0 ~dur:cost
-       (Obs.Block_translated { addr; insns = count; trace });
-     (match Program.plt_name t.prog addr with
-      | Some name when not trace ->
-        Obs.emit o ~tid ~ts:t0 (Obs.Lib_resolved { name; addr })
-      | _ -> ())
-   | _ -> ());
-  let frag =
-    { f_start = addr; f_slots = slots; f_ends_indirect = ends_indirect slots;
-      f_execs = execs; f_is_trace = trace; f_linked = trace }
-  in
-  Machine.Int_table.replace cache.frags addr frag;
-  frag
-
-let translate t cache ctx addr = build t cache ctx ~trace:false ~execs:0 addr
-
 (* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
+(* Execution tiers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad_pc of int
-
-(* How a fragment execution ends. On [Next], [ctx.rip] holds the
-   application address control continues at. *)
-type outcome =
-  | Next
-  | Halted
-  | Yielded           (* an event handler stopped the thread *)
+(* A basic block runs through the slot loop, which matches on each
+   instruction at every execution ([Semantics.exec_costed]); compiling
+   it would cost more than most blocks ever run, as many run a handful
+   of times before promotion or not again. A trace, built only once its
+   head is hot, runs as a chain of closures, one per slot, specialised
+   when the trace is built ([Semantics.compile]). Both tiers leave the
+   same registers, memory, cycles, counters and events. *)
 
 (* fire a slot's events in schedule order, stopping at the first that
    diverts or yields *)
@@ -460,10 +430,98 @@ let rec exec_slots t cache ctx slots i =
       end
   end
 
+(* An event-bearing slot of a trace: its rules fire and then it runs,
+   as in [exec_slots]. *)
+let fired t cache slot next ctx =
+  ctx.Machine.rip <- slot.s_addr;
+  match fire t cache ctx slot slot.s_events with
+  | Divert a ->
+    ctx.Machine.rip <- a;
+    Next
+  | Stop_thread -> Yielded
+  | Continue -> begin
+      match
+        Semantics.exec_costed ctx slot.s_insn ~len:slot.s_len ~cost:slot.s_cost
+      with
+      | Semantics.Fall -> next ctx
+      | Semantics.Jump -> Next
+      | Semantics.Stop -> Halted
+    end
+
+(* A trace's slots as one chain of closures, built back to front: each
+   runs its slot as [exec_slots] would and tail-calls the next, and
+   running off the end leaves [ctx.rip] after the last slot. *)
+let compile t cache slots =
+  let last = slots.(Array.length slots - 1) in
+  let fallthrough = last.s_addr + last.s_len in
+  Array.fold_right
+    (fun s next ->
+       if s.s_events == [] then
+         Semantics.compile s.s_insn ~addr:s.s_addr ~len:s.s_len
+           ~cost:s.s_cost ~jumped:Next ~stopped:Halted next
+       else fired t cache s next)
+    slots
+    (fun ctx ->
+       ctx.Machine.rip <- fallthrough;
+       Next)
+
+(* ------------------------------------------------------------------ *)
+(* Fragments                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Build the fragment at [addr] (a trace if [trace]) into [cache],
+   charging its translation to [ctx]. A basic block counts in
+   [translated_insns] and [fragments_built] and announces a resolved
+   library entry; a trace counts in [traces_built], keeps the [execs]
+   of the fragment it replaces, starts linked and is compiled. *)
+let build t (cache : cache) ctx ~trace ~execs addr =
+  let n, count = walk t cache ~trace addr in
+  let slots = Array.sub t.walked 0 n in
+  let cost = Cost.fragment_setup + (Cost.translate_per_insn * count) in
+  let t0 = ctx.Machine.cycles in
+  ctx.Machine.cycles <- t0 + cost;
+  let s = t.stats in
+  s.translate_cycles <- s.translate_cycles + cost;
+  (match cache.kind with
+   | Main -> s.translate_cycles_main <- s.translate_cycles_main + cost
+   | Worker _ -> ());
+  if trace then s.traces_built <- s.traces_built + 1
+  else begin
+    s.translated_insns <- s.translated_insns + count;
+    s.fragments_built <- s.fragments_built + 1
+  end;
+  (match t.obs with
+   | Some o when Obs.tracing o ->
+     let tid = tid_of cache.kind in
+     Obs.emit o ~tid ~ts:t0 ~dur:cost
+       (Obs.Block_translated { addr; insns = count; trace });
+     (match Program.plt_name t.prog addr with
+      | Some name when not trace ->
+        Obs.emit o ~tid ~ts:t0 (Obs.Lib_resolved { name; addr })
+      | _ -> ())
+   | _ -> ());
+  let code = if trace && n > 0 then Trace (compile t cache slots) else Block in
+  let frag =
+    { f_start = addr; f_slots = slots; f_ends_indirect = ends_indirect slots;
+      f_execs = execs; f_code = code; f_linked = trace }
+  in
+  Machine.Int_table.replace cache.frags addr frag;
+  frag
+
+let translate t cache ctx addr = build t cache ctx ~trace:false ~execs:0 addr
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch                                                            *)
+(* ------------------------------------------------------------------ *)
+
+exception Bad_pc of int
+
 let exec_fragment t cache ctx frag =
   frag.f_execs <- frag.f_execs + 1;
   if Array.length frag.f_slots = 0 then raise (Bad_pc frag.f_start);
-  exec_slots t cache ctx frag.f_slots 0
+  match frag.f_code with
+  | Block -> exec_slots t cache ctx frag.f_slots 0
+  | Trace run -> run ctx
 
 (* The fragment to run at [addr], charging the dispatch: translated on
    a miss, promoted to a trace once hot. *)
@@ -486,9 +544,10 @@ let dispatch t (cache : cache) ctx addr =
         | _ -> ()
       end
     end;
-    if (not f.f_is_trace) && f.f_execs >= t.promote_threshold then
-      build t cache ctx ~trace:true ~execs:f.f_execs f.f_start
-    else f
+    (match f.f_code with
+     | Block when f.f_execs >= t.promote_threshold ->
+       build t cache ctx ~trace:true ~execs:f.f_execs f.f_start
+     | Block | Trace _ -> f)
   | exception Not_found ->
     if Code.len (Program.code_at t.prog addr) addr = 0 then
       raise (Bad_pc addr);

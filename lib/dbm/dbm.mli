@@ -28,6 +28,22 @@ type slot = {
   s_events : Rule.t list;    (** rules fired before executing it *)
 }
 
+(** How one execution of a fragment ends. *)
+type outcome =
+  | Next      (** control continues at the address in [ctx.rip] *)
+  | Halted    (** the program exited or halted *)
+  | Yielded   (** an event handler stopped the thread *)
+
+(** How a fragment executes. A basic block runs its slots through the
+    slot loop, which matches on each slot's instruction at every
+    execution ({!Janus_vm.Semantics.exec_costed}). A trace runs as one
+    chain of closures compiled from its slots when it is built
+    ({!Janus_vm.Semantics.compile}), each specialised on its
+    instruction's operand shapes and tail-calling the next; an
+    event-bearing slot fires its rules from a closure of its own. Both
+    give the same registers, memory, cycles, counters and events. *)
+type code = Block | Trace of (Machine.t -> outcome)
+
 (** A code-cache fragment: one translated basic block (or trace). *)
 type fragment = {
   f_start : int;
@@ -37,7 +53,7 @@ type fragment = {
           the next dispatch pays the indirect cost (fixed at
           translation) *)
   mutable f_execs : int;
-  f_is_trace : bool;
+  f_code : code;
   mutable f_linked : bool;
 }
 

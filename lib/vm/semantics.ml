@@ -5,18 +5,30 @@
     buffering) and observation hook (dependence profiling), so the STM
     and profiler interpose without duplicating the interpreter.
 
+    Two executors share these semantics: {!exec_costed}, which matches
+    on the instruction and its operands at every execution (the
+    reference, and what the VM and the DBM's basic blocks run), and
+    {!compile}, which does that match once and returns a closure
+    specialised to the instruction's operand shapes (what the DBM's
+    traces run).
+
     Every per-instruction helper below is [@inline] and defined in this
     module: the hot path never calls into {!Machine}, {!Memory} or
     [Janus_vx] per instruction. Dev builds compile each module with
     [-opaque], which turns off cross-module inlining, so such a call
     would be a real call, and an [int64] returned from it a fresh box.
     Inlined here, register values, operands and memory words stay
-    unboxed from load to store. Two rules keep them unboxed:
+    unboxed from load to store. Three rules keep them unboxed:
     - an [int64] used more than once is bound by a source-level [let]
       (typed, so the compiler unboxes it even when one branch is a
       slow-path call), never passed as a non-trivial argument to an
       inlined helper (the compiler binds such arguments untyped);
-    - a value crosses into a non-inlined function only on a slow path. *)
+    - a value crosses into a non-inlined function only on a slow path;
+    - a compiled closure passes between slots only the context and
+      returns only the chain's result: what it captures is resolved at
+      compile time (register offsets, displacements, the immediate's
+      box, read in place), and every [int64] or [float] it computes
+      lives and dies inside its own body. *)
 
 open Janus_vx
 
@@ -433,3 +445,262 @@ let exec_costed ctx insn ~len ~cost =
     Fall
 
 let exec ctx insn ~len = exec_costed ctx insn ~len ~cost:(Cost.of_insn insn)
+
+(* ------------------------------------------------------------------ *)
+(* Compiled slots                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Register operands resolve at compile time to their byte offset in
+   [ctx.regs], FP registers to their lane-0 index in [ctx.fregs]. *)
+let[@inline] goff r = Reg.gp_index r lsl 3
+let[@inline] foff r = lane_index r 0
+let[@inline] rd ctx o = get64 ctx.Machine.regs o
+let[@inline] wr ctx o (v : int64) = set64 ctx.Machine.regs o v
+let[@inline] fget ctx i = Array.unsafe_get ctx.Machine.fregs i
+let[@inline] fset ctx i (v : float) = Array.unsafe_set ctx.Machine.fregs i v
+
+(* [base + disp], the common memory shape *)
+let[@inline] bd ctx b disp = Int64.to_int (rd ctx b) + disp
+
+(* what the slot loop and [exec_costed] do before any instruction: the
+   slot's address into [ctx.rip], then the charge *)
+let[@inline] enter ctx addr cost =
+  ctx.Machine.rip <- addr;
+  ctx.Machine.cycles <- ctx.Machine.cycles + cost;
+  ctx.Machine.icount <- ctx.Machine.icount + 1
+
+(** [compile insn ~addr ~len ~cost ~jumped ~stopped next] is the slot
+    at [addr] as a closure: run on a context, it does what setting
+    [ctx.rip] to [addr] and calling {!exec_costed} does, in the same
+    order of memory accesses (sources before destinations), with the
+    hooks tested per access as {!exec_costed} tests them, and then
+    tail-calls [next] where {!exec_costed} would return [Fall],
+    returns [jumped] for [Jump] and [stopped] for [Stop]. The match on
+    the instruction and its operands happens here, once; the common
+    shapes get a closure that does no other dispatch, the rest call
+    {!exec_costed}. *)
+let compile insn ~addr ~len ~cost ~jumped ~stopped next =
+  let open Operand in
+  match (insn : Insn.t) with
+  | Insn.Nop -> fun ctx -> enter ctx addr cost; next ctx
+  | Insn.Mov (Reg d, Reg s) ->
+    let d = goff d and s = goff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = rd ctx s in
+      wr ctx d v;
+      next ctx
+  | Insn.Mov (Reg d, Imm v) ->
+    let d = goff d in
+    fun ctx -> enter ctx addr cost; wr ctx d v; next ctx
+  | Insn.Mov (Reg d, Mem { base = Some b; index = None; disp; _ }) ->
+    let d = goff d and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = read ctx (bd ctx b disp) in
+      wr ctx d v;
+      next ctx
+  | Insn.Mov (Reg d, Mem m) ->
+    let d = goff d in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = read ctx (addr_of_mem ctx m) in
+      wr ctx d v;
+      next ctx
+  | Insn.Mov (Mem { base = Some b; index = None; disp; _ }, Reg s) ->
+    let b = goff b and s = goff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = rd ctx s in
+      write ctx (bd ctx b disp) v;
+      next ctx
+  | Insn.Mov (Mem m, Reg s) ->
+    let s = goff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = rd ctx s in
+      write ctx (addr_of_mem ctx m) v;
+      next ctx
+  | Insn.Alu (op, Reg d, Reg s) ->
+    let d = goff d and s = goff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let b = rd ctx s in
+      let v = alu op (rd ctx d) b in
+      wr ctx d v;
+      ctx.Machine.flags <- flags_result v;
+      next ctx
+  | Insn.Alu (op, Reg d, Imm b) ->
+    let d = goff d in
+    fun ctx ->
+      enter ctx addr cost;
+      let v = alu op (rd ctx d) b in
+      wr ctx d v;
+      ctx.Machine.flags <- flags_result v;
+      next ctx
+  | Insn.Alu (op, Reg d, Mem { base = Some b; index = None; disp; _ }) ->
+    let d = goff d and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let x = read ctx (bd ctx b disp) in
+      let v = alu op (rd ctx d) x in
+      wr ctx d v;
+      ctx.Machine.flags <- flags_result v;
+      next ctx
+  | Insn.Alu (op, Reg d, Mem m) ->
+    let d = goff d in
+    fun ctx ->
+      enter ctx addr cost;
+      let x = read ctx (addr_of_mem ctx m) in
+      let v = alu op (rd ctx d) x in
+      wr ctx d v;
+      ctx.Machine.flags <- flags_result v;
+      next ctx
+  | Insn.Cmp (Reg a, Reg b) ->
+    let a = goff a and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let y = rd ctx b in
+      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      next ctx
+  | Insn.Cmp (Reg a, Imm y) ->
+    let a = goff a in
+    fun ctx ->
+      enter ctx addr cost;
+      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      next ctx
+  | Insn.Cmp (Reg a, Mem { base = Some b; index = None; disp; _ }) ->
+    let a = goff a and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let y = read ctx (bd ctx b disp) in
+      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      next ctx
+  | Insn.Cmp (Mem { base = Some b; index = None; disp; _ }, Reg r) ->
+    let b = goff b and r = goff r in
+    fun ctx ->
+      enter ctx addr cost;
+      let y = rd ctx r in
+      let x = read ctx (bd ctx b disp) in
+      ctx.Machine.flags <- flags_cmp x y;
+      next ctx
+  | Insn.Cmp (Mem { base = Some b; index = None; disp; _ }, Imm y) ->
+    let b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let x = read ctx (bd ctx b disp) in
+      ctx.Machine.flags <- flags_cmp x y;
+      next ctx
+  | Insn.Jcc (c, target) ->
+    fun ctx ->
+      enter ctx addr cost;
+      if cond_holds ctx.Machine.flags c then begin
+        ctx.Machine.rip <- target;
+        jumped
+      end
+      else next ctx
+  | Insn.Jmp (Insn.Direct target) ->
+    fun ctx ->
+      enter ctx addr cost;
+      ctx.Machine.rip <- target;
+      jumped
+  | Insn.Call (Insn.Direct target) ->
+    let ret = Int64.of_int (addr + len) in
+    fun ctx ->
+      enter ctx addr cost;
+      push_value ctx ret;
+      ctx.Machine.rip <- target;
+      jumped
+  | Insn.Ret ->
+    fun ctx ->
+      enter ctx addr cost;
+      ctx.Machine.rip <- Int64.to_int (pop_value ctx);
+      jumped
+  | Insn.Fmov (w, Freg d, Freg s) ->
+    let n = lanes w and d = foff d and s = foff s in
+    fun ctx ->
+      enter ctx addr cost;
+      for l = 0 to n - 1 do
+        let v = fget ctx (s + l) in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | Insn.Fmov (w, Freg d, Fmem { base = Some b; index = None; disp; _ }) ->
+    let n = lanes w and d = foff d and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = bd ctx b disp in
+      for l = 0 to n - 1 do
+        let v = read_f64 ctx (a + (8 * l)) in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | Insn.Fmov (w, Freg d, Fmem m) ->
+    let n = lanes w and d = foff d in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = addr_of_mem ctx m in
+      for l = 0 to n - 1 do
+        let v = read_f64 ctx (a + (8 * l)) in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | Insn.Fmov (w, Fmem { base = Some b; index = None; disp; _ }, Freg s) ->
+    let n = lanes w and b = goff b and s = foff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = bd ctx b disp in
+      for l = 0 to n - 1 do
+        let v = fget ctx (s + l) in
+        write_f64 ctx (a + (8 * l)) v
+      done;
+      next ctx
+  | Insn.Fmov (w, Fmem m, Freg s) ->
+    let n = lanes w and s = foff s in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = addr_of_mem ctx m in
+      for l = 0 to n - 1 do
+        let v = fget ctx (s + l) in
+        write_f64 ctx (a + (8 * l)) v
+      done;
+      next ctx
+  | Insn.Fbin (w, op, d, Freg s) ->
+    let n = lanes w and d = foff d and s = foff s in
+    fun ctx ->
+      enter ctx addr cost;
+      for l = 0 to n - 1 do
+        let b = fget ctx (s + l) in
+        let v = fbin op (fget ctx (d + l)) b in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | Insn.Fbin (w, op, d, Fmem { base = Some b; index = None; disp; _ }) ->
+    let n = lanes w and d = foff d and b = goff b in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = bd ctx b disp in
+      for l = 0 to n - 1 do
+        let x = read_f64 ctx (a + (8 * l)) in
+        let v = fbin op (fget ctx (d + l)) x in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | Insn.Fbin (w, op, d, Fmem m) ->
+    let n = lanes w and d = foff d in
+    fun ctx ->
+      enter ctx addr cost;
+      let a = addr_of_mem ctx m in
+      for l = 0 to n - 1 do
+        let x = read_f64 ctx (a + (8 * l)) in
+        let v = fbin op (fget ctx (d + l)) x in
+        fset ctx (d + l) v
+      done;
+      next ctx
+  | _ ->
+    fun ctx ->
+      ctx.Machine.rip <- addr;
+      match exec_costed ctx insn ~len ~cost with
+      | Fall -> next ctx
+      | Jump -> jumped
+      | Stop -> stopped

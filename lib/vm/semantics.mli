@@ -48,3 +48,18 @@ val exec : Machine.t -> Insn.t -> len:int -> control
     instead of re-matching on every execution). [cost] must equal
     [Cost.of_insn insn] for the cycle model to stay exact. *)
 val exec_costed : Machine.t -> Insn.t -> len:int -> cost:int -> control
+
+(** [compile insn ~addr ~len ~cost ~jumped ~stopped next] pre-resolves
+    the slot at [addr] (instruction [insn] of encoded length [len],
+    charged [cost]) into a closure. Run on a context, the closure sets
+    [ctx.rip] to [addr] and does what {!exec_costed} does, with the
+    same memory accesses in the same order and the transaction,
+    observer and cache-model hooks tested at each access; then, where
+    {!exec_costed} returns {!Fall}, it tail-calls [next], and it
+    returns [jumped] for {!Jump} and [stopped] for {!Stop}. Chaining
+    the slots of a straight-line fragment back to front makes one
+    closure per slot that runs the whole fragment. Shapes without a
+    specialised form call {!exec_costed}. *)
+val compile :
+  Insn.t -> addr:int -> len:int -> cost:int -> jumped:'a -> stopped:'a ->
+  (Machine.t -> 'a) -> Machine.t -> 'a

@@ -186,16 +186,20 @@ let test_sphinx3_doacross_matches_native () =
    measured); nearly all of that is decoding and translation. The
    steady state is budgeted on its own, so a hot-path regression
    cannot hide behind that one-off work: native execution after
-   [Program.load] and a DBM-only rerun over an already-warm code cache
-   each stay within 0.005 (0.0013 and 0.0004 measured). A boxed target
-   returned per taken branch put whole native runs at 0.33; that and a
-   closure allocated per DBM dispatch put DBM-only at 0.99. An int64
-   box per register write or memory word would cost several words
-   more.
+   [Program.load], a DBM-only rerun over an already-warm code cache
+   and a rerun at promotion threshold 1 over a cache whose every
+   fragment it dispatches is a compiled trace each stay within 0.005
+   (0.0013, 0.0006 and 0.0002 measured). A boxed target returned per
+   taken branch put whole native runs at 0.33; that and a closure
+   allocated per DBM dispatch put DBM-only at 0.99. An int64 box per
+   register write or memory word would cost several words more: one
+   boxed load in the compiled base+disp [Mov] alone reads 0.21 on the
+   compiled-trace rerun.
 
    Two more budgets cover the one-off work. Translation, over a cold
    DBM-only pass, stays within 16 minor words per translated
-   instruction (11.9 measured): the walk reads the decoded text and
+   instruction (13.3 measured, trace compilation included; 11.9 before
+   traces were compiled): the walk reads the decoded text and
    the per-kind rule tables in place, so an instruction with no rule
    costs its slot and nothing else. The walk that fetched an option
    and a tuple per instruction, filtered the rules twice and collected
@@ -259,6 +263,30 @@ let test_allocation_budget () =
             ignore (Dbm.run dbm cache ctx);
             ctx.Machine.icount))
   in
+  (* at promotion threshold 1 a second run promotes every fragment the
+     first built, so a third builds nothing and runs only compiled
+     traces *)
+  let traces_warm =
+    words_per_insn (fun ~input img ->
+        let prog = load img in
+        let dbm = Dbm.create ~promote_threshold:1 prog in
+        let cache = Dbm.new_cache Dbm.Main in
+        ignore (Dbm.run dbm cache (fresh prog input));
+        ignore (Dbm.run dbm cache (fresh prog input));
+        let s = dbm.Dbm.stats in
+        let built () = s.Dbm.fragments_built + s.Dbm.traces_built in
+        let before = built () in
+        let ctx = fresh prog input in
+        let m =
+          measure (fun () ->
+              ignore (Dbm.run dbm cache ctx);
+              ctx.Machine.icount)
+        in
+        if built () <> before then
+          Alcotest.failf "the third run at promotion threshold 1 built %d \
+                          fragments" (built () - before);
+        m)
+  in
   let translation =
     words_per_insn (fun ~input img ->
         let prog = load img in
@@ -297,15 +325,15 @@ let test_allocation_budget () =
     (direct_major () -. m0) /. float_of_int text
   in
   if native > 0.25 || dbm > 0.45 || native_hot > 0.005 || dbm_warm > 0.005
-     || translation > 16.0 || per_text_byte >= 1.0
+     || traces_warm > 0.005 || translation > 16.0 || per_text_byte >= 1.0
   then
     Alcotest.failf
       "minor words per instruction: native %.2f (budget 0.25), DBM-only \
        %.2f (budget 0.45); steady state: native after load %.4f, warm \
-       DBM rerun %.4f (budget 0.005 each); per translated instruction \
-       %.2f (budget 16); major words per text byte of a prepared run \
-       %.3f (budget under 1)"
-      native dbm native_hot dbm_warm translation per_text_byte
+       DBM rerun %.4f, warm rerun of compiled traces %.4f (budget 0.005 \
+       each); per translated instruction %.2f (budget 16); major words \
+       per text byte of a prepared run %.3f (budget under 1)"
+      native dbm native_hot dbm_warm traces_warm translation per_text_byte
 
 (* A run pays only for the guest memory it touches. Stacks are used
    from their top and TLS blocks from their base, so after native and

@@ -722,6 +722,203 @@ let prop_memory_window_model =
              Bytes.equal (Memory.snapshot mem start size) b)
            win_regions model)
 
+(* The DBM runs its traces as closures from [Semantics.compile] and its
+   basic blocks (like the VM) through [Semantics.exec_costed]. For any
+   instruction, a one-slot compiled chain and the reference leave equal
+   registers, FP lanes, flags, rip, cycles, icount, memory and output,
+   return the same control result (or raise the same exception), make
+   the same observer calls (each with the rip it saw) and leave the same
+   transaction read and write sets and warm cache lines, with no hook,
+   an observer, an open transaction or the cache model installed. *)
+
+type exec_mode = No_hook | Observer | Transaction | Cache_model
+
+type exec_case = {
+  e_insn : Insn.t;
+  e_addr : int;
+  e_len : int;
+  e_regs : int64 array;          (* by Reg.gp_index *)
+  e_fregs : float array;         (* lane l of register r at r*4+l *)
+  e_flags : int;
+  e_words : (int * int64) list;  (* data region word index, value *)
+}
+
+let exec_base = 0x10000
+let exec_size = 0x1000
+
+(* registers below this index hold addresses inside the data region,
+   the others small integers, so that generated memory operands (base
+   from the first, index from the second) mostly land in the region *)
+let addr_regs = 8
+
+let gen_exec_case =
+  let open QCheck2.Gen in
+  let i64 =
+    oneof
+      [ int64;
+        oneofl [ Int64.min_int; Int64.max_int; -1L; 0L; 1L; 63L; 64L ];
+        map Int64.of_int (int_range (-8) 8) ]
+  in
+  let address = map (fun k -> Int64.of_int (exec_base + 0x800 + (8 * k)))
+      (int_range (-200) 200) in
+  let reg_value i =
+    if i < addr_regs then frequency [ (8, address); (1, i64) ]
+    else frequency [ (4, map Int64.of_int (int_range 0 8)); (1, i64) ]
+  in
+  let gp = map Reg.gp_of_index (int_range 0 (Reg.gp_count - 1)) in
+  let base = map Reg.gp_of_index (int_range 0 (addr_regs - 1)) in
+  let index = map Reg.gp_of_index (int_range addr_regs (Reg.gp_count - 1)) in
+  let fp = map Reg.fp_of_index (int_range 0 (Reg.fp_count - 1)) in
+  let disp = oneof [ map (fun k -> 8 * k) (int_range (-8) 8); int_range (-64) 64 ] in
+  let scale = oneofl [ 1; 2; 4; 8 ] in
+  let mem =
+    oneof
+      [ map2 (fun b d -> Operand.mem_base ~disp:d b) base disp;
+        map4 (fun b i s d -> Operand.mem_bi ~disp:d ~scale:s b i)
+          base index scale disp;
+        map3
+          (fun i s d -> Operand.mem ~index:i ~scale:s ~disp:(exec_base + d) ())
+          index scale (int_range 0 0x200);
+        map (fun d -> Operand.mem_abs (exec_base + d)) (int_range 0 0xff8) ]
+  in
+  let r = map (fun g -> Operand.Reg g) gp in
+  let i = map (fun v -> Operand.Imm v) i64 in
+  let m = map (fun m -> Operand.Mem m) mem in
+  let rm = oneof [ r; m ] and rim = oneof [ r; i; m ] in
+  let fop = oneof [ map (fun f -> Operand.Freg f) fp;
+                    map (fun m -> Operand.Fmem m) mem ] in
+  let alu = oneofl Insn.[ Add; Sub; Imul; And; Or; Xor; Shl; Shr; Sar ] in
+  let fbin = oneofl Insn.[ Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax ] in
+  let width = oneofl Insn.[ Scalar; X; Y ] in
+  let cond = oneofl Cond.all in
+  let target = int_range 0x400000 0x400100 in
+  let specialised =
+    oneof
+      [ pure Insn.Nop;
+        map2 (fun d s -> Insn.Mov (d, s)) rm rim;
+        map3 (fun op d s -> Insn.Alu (op, d, s)) alu r rim;
+        map2 (fun a b -> Insn.Cmp (a, b)) rm rim;
+        map2 (fun c t -> Insn.Jcc (c, t)) cond target;
+        map (fun t -> Insn.Jmp (Insn.Direct t)) target;
+        map (fun t -> Insn.Call (Insn.Direct t)) target;
+        pure Insn.Ret;
+        map3 (fun w d s -> Insn.Fmov (w, d, s)) width fop fop;
+        map4 (fun w op d s -> Insn.Fbin (w, op, d, s)) width fbin fp fop ]
+  in
+  let fallback =
+    oneof
+      [ pure Insn.Hlt;
+        map3 (fun op d s -> Insn.Alu (op, d, s)) alu m rim;
+        map2 (fun d m -> Insn.Lea (d, m)) gp mem;
+        map (fun o -> Insn.Neg o) rm;
+        map (fun o -> Insn.Not o) rm;
+        map (fun o -> Insn.Idiv o) rim;
+        map2 (fun a b -> Insn.Test (a, b)) rim rim;
+        map (fun o -> Insn.Jmp (Insn.Indirect o)) rim;
+        map (fun o -> Insn.Call (Insn.Indirect o)) rim;
+        map (fun o -> Insn.Push o) rim;
+        map (fun o -> Insn.Pop o) rm;
+        map3 (fun c d s -> Insn.Cmov (c, d, s)) cond gp rim;
+        map2 (fun a b -> Insn.Fcmp (a, b)) fp fop;
+        map3 (fun w d s -> Insn.Fsqrt (w, d, s)) width fp fop;
+        map3 (fun w d s -> Insn.Fbcast (w, d, s)) width fp fop;
+        map2 (fun d s -> Insn.Cvtsi2sd (d, s)) fp rim;
+        map2 (fun d s -> Insn.Cvtsd2si (d, s)) gp fop;
+        map (fun n -> Insn.Syscall n)
+          (oneofl Insn.[ sys_exit; sys_write_int; sys_write_float;
+                         sys_read_int ]);
+        map (fun m -> Insn.Prefetch m) mem ]
+  in
+  let lane =
+    oneof
+      [ float;
+        oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0 ];
+        map float_of_int (int_range (-4) 4) ]
+  in
+  let* e_insn = frequency [ (3, specialised); (1, fallback) ] in
+  let* e_addr = int_range 0x400000 0x400100 in
+  let* e_len = int_range 1 12 in
+  let* e_regs =
+    flatten_a (Array.init Reg.gp_count reg_value)
+  in
+  let* e_fregs = array_repeat (Reg.fp_count * 4) lane in
+  let* e_flags = int_range 0 15 in
+  let+ e_words =
+    list_size (int_range 0 40)
+      (pair (int_range 0 ((exec_size / 8) - 1)) i64)
+  in
+  { e_insn; e_addr; e_len; e_regs; e_fregs; e_flags; e_words }
+
+(* a context in [c]'s state with [mode]'s hook installed; the observer
+   logs into [log] *)
+let exec_context c mode log =
+  let mem = Memory.create () in
+  ignore (Memory.add_region mem ~name:"data" ~start:exec_base ~size:exec_size);
+  List.iter (fun (w, v) -> Memory.write_i64 mem (exec_base + (8 * w)) v)
+    c.e_words;
+  let ctx = Machine.create mem in
+  Array.iteri (fun i v -> Machine.set ctx (Reg.gp_of_index i) v) c.e_regs;
+  Array.iteri
+    (fun i v -> Machine.setf ctx (Reg.fp_of_index (i / 4)) (i mod 4) v)
+    c.e_fregs;
+  ctx.Machine.flags <- c.e_flags;
+  Queue.push 77L ctx.Machine.input;
+  (match mode with
+   | No_hook -> ()
+   | Observer ->
+     ctx.Machine.observe <-
+       Some (fun rw ~addr ~bytes ->
+           log := (rw, addr, bytes, ctx.Machine.rip) :: !log)
+   | Transaction -> ignore (Machine.start_txn ctx)
+   | Cache_model -> ctx.Machine.model_cache <- true);
+  ctx
+
+(* everything an execution can leave behind *)
+let exec_footprint ctx log =
+  let sorted tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl)) in
+  ( ( Bytes.to_string ctx.Machine.regs,
+      Array.map Int64.bits_of_float ctx.Machine.fregs,
+      (ctx.Machine.flags, ctx.Machine.rip, ctx.Machine.cycles,
+       ctx.Machine.icount, ctx.Machine.halted, ctx.Machine.exit_code) ),
+    ( Bytes.to_string (Memory.snapshot ctx.Machine.mem exec_base exec_size),
+      Buffer.contents ctx.Machine.out,
+      List.rev !log ),
+    ( (match ctx.Machine.txn with
+       | Some t -> (sorted t.Machine.treads, sorted t.Machine.twrites)
+       | None -> ([], [])),
+      List.of_seq (Queue.to_seq ctx.Machine.warm_fifo) ) )
+
+let prop_compiled_slot_matches_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"a compiled slot matches exec_costed under every hook"
+    ~print:(fun c -> Printf.sprintf "%s at %#x, len %d"
+               (Insn.to_string c.e_insn) c.e_addr c.e_len)
+    gen_exec_case
+    (fun c ->
+      let insn = c.e_insn and addr = c.e_addr and len = c.e_len in
+      let cost = Cost.of_insn insn in
+      let compiled =
+        Semantics.compile insn ~addr ~len ~cost ~jumped:Semantics.Jump
+          ~stopped:Semantics.Stop (fun _ -> Semantics.Fall)
+      in
+      let reference ctx =
+        ctx.Machine.rip <- addr;
+        Semantics.exec_costed ctx insn ~len ~cost
+      in
+      let run exec mode =
+        let log = ref [] in
+        let ctx = exec_context c mode log in
+        let result =
+          match exec ctx with
+          | r -> Ok r
+          | exception e -> Error (Printexc.to_string e)
+        in
+        (result, exec_footprint ctx log)
+      in
+      List.for_all
+        (fun mode -> run compiled mode = run reference mode)
+        [ No_hook; Observer; Transaction; Cache_model ])
+
 let test_out_of_fuel () =
   let b = Builder.create () in
   Builder.label b "_start";
@@ -747,6 +944,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_flat_state_equiv;
     QCheck_alcotest.to_alcotest prop_memory_fast_path;
     QCheck_alcotest.to_alcotest prop_memory_window_model;
+    QCheck_alcotest.to_alcotest prop_compiled_slot_matches_reference;
     Alcotest.test_case "observe hook" `Quick test_observe_hook;
     Alcotest.test_case "cache model misses" `Quick test_cache_model_misses;
     Alcotest.test_case "cache model off by default" `Quick

@@ -65,7 +65,8 @@ let modes =
     ("round-robin-4",
      Par (Janus.config ~force_policy:(Desc.Round_robin 4) ()));
     ("scheduled", Scheduled);
-    ("janus-8t-promote1", Par_eager (Janus.config ~threads:8 ~fission:true ())) ]
+    ("janus-8t-promote1",
+     Par_eager (Janus.config ~threads:8 ~fission:true ())) ]
 
 let stats_fields = function
   | None -> "-"
