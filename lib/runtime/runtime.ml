@@ -70,6 +70,11 @@ type t = {
   mutable last_sum_cycles : int;
   (* summed worker cycles of the most recent parallel invocation: the
      realised work the governor compares against the main-thread cost *)
+  loop_descs : Desc.loop_desc Machine.Int_table.t;
+  check_descs : Desc.check_desc Machine.Int_table.t;
+  fission_descs : Desc.fission_desc Machine.Int_table.t;
+  (* pool offset -> the descriptor there, decoded when a rule carrying
+     it first fires *)
 }
 
 (* the tracing/metrics sink rides on the DBM *)
@@ -145,6 +150,9 @@ let create ?(config = default_config) ?adapt (dbm : Dbm.t) =
       inv_checks = Hashtbl.create 8;
       max_inv_checks = 0;
       last_sum_cycles = 0;
+      loop_descs = Machine.Int_table.create 8;
+      check_descs = Machine.Int_table.create 8;
+      fission_descs = Machine.Int_table.create 4;
     }
   in
   t
@@ -709,6 +717,19 @@ let tx_finish t w (ctx : Machine.t) =
 (* The event handler                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The descriptor at pool offset [off], decoded once per run: on the
+   first firing of a rule carrying it, not before, so a descriptor that
+   does not decode (only an unverified schedule can carry one) raises
+   where it fires and at every such firing. *)
+let decoded memo decode sched off =
+  let k = Int64.to_int off in
+  match Machine.Int_table.find memo k with
+  | d -> d
+  | exception Not_found ->
+    let d = decode sched off in
+    Machine.Int_table.add memo k d;
+    d
+
 let handler t (_dbm : Dbm.t) kind (ctx : Machine.t) (r : Rule.t) : Dbm.action =
   let lid = Int64.to_int r.Rule.aux in
   let in_seq lid = try Hashtbl.find t.loop_in_seq lid with Not_found -> false in
@@ -725,7 +746,7 @@ let handler t (_dbm : Dbm.t) kind (ctx : Machine.t) (r : Rule.t) : Dbm.action =
            answer the governor will override *)
         Dbm.Continue
       | Some sched ->
-        let cd = Schedule.check_desc sched r.Rule.data in
+        let cd = decoded t.check_descs Schedule.check_desc sched r.Rule.data in
         let c_t0 = ctx.Machine.cycles in
         let ok = eval_check t ctx cd in
         let check_cost = ctx.Machine.cycles - c_t0 in
@@ -797,7 +818,9 @@ let handler t (_dbm : Dbm.t) kind (ctx : Machine.t) (r : Rule.t) : Dbm.action =
           Hashtbl.replace t.gov_seq lid ctx.Machine.cycles;
           (match t.adapt with
            | Some g ->
-             let desc = Schedule.loop_desc sched r.Rule.data in
+             let desc =
+               decoded t.loop_descs Schedule.loop_desc sched r.Rule.data
+             in
              let env = rexpr_env ctx in
              (* locations the schedule privatises or reduces are not
                 cross-iteration dependences — the rewrite already
@@ -835,7 +858,9 @@ let handler t (_dbm : Dbm.t) kind (ctx : Machine.t) (r : Rule.t) : Dbm.action =
             Dbm.Continue
           end
           else begin
-            let desc = Schedule.loop_desc sched r.Rule.data in
+            let desc =
+              decoded t.loop_descs Schedule.loop_desc sched r.Rule.data
+            in
             Hashtbl.replace t.loop_invocations lid
               (1 + (try Hashtbl.find t.loop_invocations lid with Not_found -> 0));
             let stats = t.dbm.Dbm.stats in
@@ -845,7 +870,9 @@ let handler t (_dbm : Dbm.t) kind (ctx : Machine.t) (r : Rule.t) : Dbm.action =
             let outcome =
               match r.Rule.id with
               | Rule.LOOP_FISSION ->
-                let fd = Schedule.fission_desc sched r.Rule.data in
+                let fd =
+                  decoded t.fission_descs Schedule.fission_desc sched r.Rule.data
+                in
                 (match obs t with
                  | Some o -> Obs.incr o "rt.fission_invocations"
                  | None -> ());

@@ -71,6 +71,14 @@ type t = {
           per-invocation stats leaked *)
   mutable last_sum_cycles : int;
       (** summed worker cycles of the most recent parallel invocation *)
+  loop_descs : Desc.loop_desc Machine.Int_table.t;
+  check_descs : Desc.check_desc Machine.Int_table.t;
+  fission_descs : Desc.fission_desc Machine.Int_table.t;
+      (** descriptor-pool offset -> the loop, bounds-check or fission
+          descriptor there, decoded when a rule carrying it first fires
+          and reused by every later firing of the run; a descriptor
+          that does not decode is never stored, so it raises at each
+          firing *)
 }
 
 (** Create a runtime over a DBM, allocating per-thread stack and TLS

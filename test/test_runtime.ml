@@ -7,6 +7,7 @@ module Runtime = Janus_runtime.Runtime
 module Desc = Janus_schedule.Desc
 module Rexpr = Janus_schedule.Rexpr
 module Rule = Janus_schedule.Rule
+module Schedule = Janus_schedule.Schedule
 module Dbm = Janus_dbm.Dbm
 
 (* ------------------------------------------------------------------ *)
@@ -194,13 +195,13 @@ let prop_reduction_combine_associative =
 (* runtime checks                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let make_rt () =
+let make_rt ?schedule () =
   let b = Builder.create () in
   Builder.label b "_start";
   Builder.ins b Insn.Hlt;
   let img = Builder.to_image b ~entry:"_start" in
   let prog = Program.load ~code:(Code.of_image img) img in
-  let dbm = Dbm.create prog in
+  let dbm = Dbm.create ?schedule prog in
   let rt = Runtime.create dbm in
   let ctx = Run.fresh_context prog in
   (rt, ctx)
@@ -336,6 +337,42 @@ let test_skip_tx_cleared_between_invocations () =
    | _ -> Alcotest.fail "tx_start should continue");
   Alcotest.(check bool) "speculation resumes" true (ctx.Machine.txn <> None)
 
+(* A descriptor decodes when a rule carrying it first fires and is
+   reused by every later firing of the run; one that does not decode
+   (only an unverified schedule can carry it) raises at each firing and
+   is never kept. *)
+let test_descriptors_decode_once () =
+  let b = Schedule.builder Schedule.Parallelisation in
+  let cd =
+    { Desc.check_loop_id = 1;
+      ranges = [ range 0x800000 800 8 true; range 0x801000 800 8 false ] }
+  in
+  let good = Schedule.add_check_desc b cd in
+  let schedule = Schedule.build b in
+  let bad = Bytes.length schedule.Schedule.data + 64 in
+  let rt, ctx = make_rt ~schedule () in
+  Runtime.install rt;
+  let fire id off =
+    rt.Runtime.dbm.Dbm.on_event rt.Runtime.dbm Dbm.Main ctx
+      (Rule.make ~addr:0x400100 ~data:(Int64.of_int off) ~aux:1L id)
+  in
+  let check () =
+    match fire Rule.MEM_BOUNDS_CHECK good with
+    | Dbm.Continue -> Machine.Int_table.find rt.Runtime.check_descs good
+    | _ -> Alcotest.fail "a bounds check continues"
+  in
+  let first = check () in
+  Alcotest.(check bool) "decoded once, then reused" true (check () == first);
+  Alcotest.(check int) "one check descriptor" 1
+    (Machine.Int_table.length rt.Runtime.check_descs);
+  for _ = 1 to 2 do
+    match fire Rule.LOOP_INIT bad with
+    | _ -> Alcotest.fail "an undecodable descriptor raises where it fires"
+    | exception (Invalid_argument _ | Failure _ | End_of_file) -> ()
+  done;
+  Alcotest.(check int) "an undecodable descriptor is not kept" 0
+    (Machine.Int_table.length rt.Runtime.loop_descs)
+
 let test_stm_write_skew_safe () =
   (* a transaction that only reads commits even if it read hot data *)
   let rt, ctx = make_rt () in
@@ -409,6 +446,8 @@ let tests =
     Alcotest.test_case "skip_tx cleared between invocations" `Quick
       test_skip_tx_cleared_between_invocations;
     Alcotest.test_case "stm read-only commits" `Quick test_stm_write_skew_safe;
+    Alcotest.test_case "descriptors decode once per run" `Quick
+      test_descriptors_decode_once;
     QCheck_alcotest.to_alcotest prop_trip_count;
     QCheck_alcotest.to_alcotest prop_chunked_partition_complete;
     QCheck_alcotest.to_alcotest prop_rr_partition_complete;
