@@ -116,14 +116,15 @@ let run input mode threads scale train_scale schedule_file prefetch fission
     print_string result.Janus.output;
     Fmt.pr "--- %s: %d cycles, %d instructions, exit %d@." mode
       result.Janus.cycles result.Janus.icount result.Janus.exit_code;
+    (* a loop list is one string: a break hint between its items would
+       let the line break there *)
+    let loops l = String.concat ", " (List.map string_of_int l) in
     if result.Janus.selected_loops <> [] then
-      Fmt.pr "--- parallelised loops: %a; schedule %d bytes@."
-        Fmt.(list ~sep:comma int)
-        result.Janus.selected_loops result.Janus.schedule_size;
+      Fmt.pr "--- parallelised loops: %s; schedule %d bytes@."
+        (loops result.Janus.selected_loops) result.Janus.schedule_size;
     if result.Janus.demoted_loops <> [] then
-      Fmt.pr "--- loops demoted to sequential by the schedule verifier: %a@."
-        Fmt.(list ~sep:comma int)
-        result.Janus.demoted_loops;
+      Fmt.pr "--- loops demoted to sequential by the schedule verifier: %s@."
+        (loops result.Janus.demoted_loops);
     if result.Janus.stm_commits > 0 || result.Janus.stm_aborts > 0 then
       Fmt.pr "--- STM: %d commits, %d aborts@." result.Janus.stm_commits
         result.Janus.stm_aborts;
