@@ -547,15 +547,6 @@ let compile insn ~addr ~len ~cost ~jumped ~stopped next =
       wr ctx d v;
       ctx.Machine.flags <- flags_result v;
       next ctx
-  | Insn.Alu (op, Reg d, Mem m) ->
-    let d = goff d in
-    fun ctx ->
-      enter ctx addr cost;
-      let x = read ctx (addr_of_mem ctx m) in
-      let v = alu op (rd ctx d) x in
-      wr ctx d v;
-      ctx.Machine.flags <- flags_result v;
-      next ctx
   | Insn.Cmp (Reg a, Reg b) ->
     let a = goff a and b = goff b in
     fun ctx ->
