@@ -26,8 +26,8 @@
     - a value crosses into a non-inlined function only on a slow path;
     - a compiled closure passes between slots only the context and
       returns only the chain's result: what it captures is resolved at
-      compile time (register offsets, displacements, the immediate's
-      box, read in place), and every [int64] or [float] it computes
+      compile time (registers, FP lane offsets, displacements, the
+      immediate's box, read in place), and every [int64] or [float] it computes
       lives and dies inside its own body. *)
 
 open Janus_vx
@@ -450,17 +450,14 @@ let exec ctx insn ~len = exec_costed ctx insn ~len ~cost:(Cost.of_insn insn)
 (* Compiled slots                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Register operands resolve at compile time to their byte offset in
-   [ctx.regs], FP registers to their lane-0 index in [ctx.fregs]. *)
-let[@inline] goff r = Reg.gp_index r lsl 3
+(* An FP register resolves at compile time to its lane-0 index in
+   [ctx.fregs], so a lane access is one indexed load or store. *)
 let[@inline] foff r = lane_index r 0
-let[@inline] rd ctx o = get64 ctx.Machine.regs o
-let[@inline] wr ctx o (v : int64) = set64 ctx.Machine.regs o v
 let[@inline] fget ctx i = Array.unsafe_get ctx.Machine.fregs i
 let[@inline] fset ctx i (v : float) = Array.unsafe_set ctx.Machine.fregs i v
 
 (* [base + disp], the common memory shape *)
-let[@inline] bd ctx b disp = Int64.to_int (rd ctx b) + disp
+let[@inline] bd ctx b disp = Int64.to_int (reg ctx b) + disp
 
 (* what the slot loop and [exec_costed] do before any instruction: the
    slot's address into [ctx.rip], then the charge *)
@@ -484,99 +481,85 @@ let compile insn ~addr ~len ~cost ~jumped ~stopped next =
   match (insn : Insn.t) with
   | Insn.Nop -> fun ctx -> enter ctx addr cost; next ctx
   | Insn.Mov (Reg d, Reg s) ->
-    let d = goff d and s = goff s in
     fun ctx ->
       enter ctx addr cost;
-      let v = rd ctx s in
-      wr ctx d v;
+      let v = reg ctx s in
+      set_reg ctx d v;
       next ctx
   | Insn.Mov (Reg d, Imm v) ->
-    let d = goff d in
-    fun ctx -> enter ctx addr cost; wr ctx d v; next ctx
+    fun ctx -> enter ctx addr cost; set_reg ctx d v; next ctx
   | Insn.Mov (Reg d, Mem { base = Some b; index = None; disp; _ }) ->
-    let d = goff d and b = goff b in
     fun ctx ->
       enter ctx addr cost;
       let v = read ctx (bd ctx b disp) in
-      wr ctx d v;
+      set_reg ctx d v;
       next ctx
   | Insn.Mov (Reg d, Mem m) ->
-    let d = goff d in
     fun ctx ->
       enter ctx addr cost;
       let v = read ctx (addr_of_mem ctx m) in
-      wr ctx d v;
+      set_reg ctx d v;
       next ctx
   | Insn.Mov (Mem { base = Some b; index = None; disp; _ }, Reg s) ->
-    let b = goff b and s = goff s in
     fun ctx ->
       enter ctx addr cost;
-      let v = rd ctx s in
+      let v = reg ctx s in
       write ctx (bd ctx b disp) v;
       next ctx
   | Insn.Mov (Mem m, Reg s) ->
-    let s = goff s in
     fun ctx ->
       enter ctx addr cost;
-      let v = rd ctx s in
+      let v = reg ctx s in
       write ctx (addr_of_mem ctx m) v;
       next ctx
   | Insn.Alu (op, Reg d, Reg s) ->
-    let d = goff d and s = goff s in
     fun ctx ->
       enter ctx addr cost;
-      let b = rd ctx s in
-      let v = alu op (rd ctx d) b in
-      wr ctx d v;
+      let b = reg ctx s in
+      let v = alu op (reg ctx d) b in
+      set_reg ctx d v;
       ctx.Machine.flags <- flags_result v;
       next ctx
   | Insn.Alu (op, Reg d, Imm b) ->
-    let d = goff d in
     fun ctx ->
       enter ctx addr cost;
-      let v = alu op (rd ctx d) b in
-      wr ctx d v;
+      let v = alu op (reg ctx d) b in
+      set_reg ctx d v;
       ctx.Machine.flags <- flags_result v;
       next ctx
   | Insn.Alu (op, Reg d, Mem { base = Some b; index = None; disp; _ }) ->
-    let d = goff d and b = goff b in
     fun ctx ->
       enter ctx addr cost;
       let x = read ctx (bd ctx b disp) in
-      let v = alu op (rd ctx d) x in
-      wr ctx d v;
+      let v = alu op (reg ctx d) x in
+      set_reg ctx d v;
       ctx.Machine.flags <- flags_result v;
       next ctx
   | Insn.Cmp (Reg a, Reg b) ->
-    let a = goff a and b = goff b in
     fun ctx ->
       enter ctx addr cost;
-      let y = rd ctx b in
-      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      let y = reg ctx b in
+      ctx.Machine.flags <- flags_cmp (reg ctx a) y;
       next ctx
   | Insn.Cmp (Reg a, Imm y) ->
-    let a = goff a in
     fun ctx ->
       enter ctx addr cost;
-      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      ctx.Machine.flags <- flags_cmp (reg ctx a) y;
       next ctx
   | Insn.Cmp (Reg a, Mem { base = Some b; index = None; disp; _ }) ->
-    let a = goff a and b = goff b in
     fun ctx ->
       enter ctx addr cost;
       let y = read ctx (bd ctx b disp) in
-      ctx.Machine.flags <- flags_cmp (rd ctx a) y;
+      ctx.Machine.flags <- flags_cmp (reg ctx a) y;
       next ctx
   | Insn.Cmp (Mem { base = Some b; index = None; disp; _ }, Reg r) ->
-    let b = goff b and r = goff r in
     fun ctx ->
       enter ctx addr cost;
-      let y = rd ctx r in
+      let y = reg ctx r in
       let x = read ctx (bd ctx b disp) in
       ctx.Machine.flags <- flags_cmp x y;
       next ctx
   | Insn.Cmp (Mem { base = Some b; index = None; disp; _ }, Imm y) ->
-    let b = goff b in
     fun ctx ->
       enter ctx addr cost;
       let x = read ctx (bd ctx b disp) in
@@ -617,7 +600,7 @@ let compile insn ~addr ~len ~cost ~jumped ~stopped next =
       done;
       next ctx
   | Insn.Fmov (w, Freg d, Fmem { base = Some b; index = None; disp; _ }) ->
-    let n = lanes w and d = foff d and b = goff b in
+    let n = lanes w and d = foff d in
     fun ctx ->
       enter ctx addr cost;
       let a = bd ctx b disp in
@@ -637,7 +620,7 @@ let compile insn ~addr ~len ~cost ~jumped ~stopped next =
       done;
       next ctx
   | Insn.Fmov (w, Fmem { base = Some b; index = None; disp; _ }, Freg s) ->
-    let n = lanes w and b = goff b and s = foff s in
+    let n = lanes w and s = foff s in
     fun ctx ->
       enter ctx addr cost;
       let a = bd ctx b disp in
@@ -667,7 +650,7 @@ let compile insn ~addr ~len ~cost ~jumped ~stopped next =
       done;
       next ctx
   | Insn.Fbin (w, op, d, Fmem { base = Some b; index = None; disp; _ }) ->
-    let n = lanes w and d = foff d and b = goff b in
+    let n = lanes w and d = foff d in
     fun ctx ->
       enter ctx addr cost;
       let a = bd ctx b disp in
