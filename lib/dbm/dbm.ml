@@ -35,15 +35,14 @@ type outcome =
   | Yielded           (* an event handler stopped the thread *)
 
 (* A basic block runs its slots through the slot loop; a trace runs as
-   one chain of compiled slots. *)
-type code = Block | Trace of (Machine.t -> outcome)
+   one chain of compiled slots and keeps no slot array. *)
+type code = Block of slot array | Trace of (Machine.t -> outcome)
 
 type fragment = {
   f_start : int;
-  f_slots : slot array;
+  f_code : code;
   f_ends_indirect : bool; (* last slot is an indirect jmp/call or a ret *)
   mutable f_execs : int;
-  f_code : code;
   mutable f_linked : bool;
 }
 
@@ -276,10 +275,9 @@ let prefetch_slots (rs : Rule.t list) insn addr =
 (* Translation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* does a fragment of these slots exit through an indirect transfer?
-   (the next dispatch then pays the indirect cost) *)
-let ends_indirect (slots : slot array) =
-  let n = Array.length slots in
+(* does a fragment of the first [n] of these slots exit through an
+   indirect transfer? (the next dispatch then pays the indirect cost) *)
+let ends_indirect (slots : slot array) n =
   n > 0
   &&
   match slots.(n - 1).s_insn with
@@ -448,22 +446,27 @@ let fired t cache slot next ctx =
       | Semantics.Stop -> Halted
     end
 
-(* A trace's slots as one chain of closures, built back to front: each
-   runs its slot as [exec_slots] would and tail-calls the next, and
-   running off the end leaves [ctx.rip] after the last slot. *)
-let compile t cache slots =
-  let last = slots.(Array.length slots - 1) in
+(* The first [n] (at least one) of [slots] as one chain of closures,
+   built back to front: each runs its slot as [exec_slots] would and
+   tail-calls the next, and running off the end leaves [ctx.rip] after
+   the last slot. *)
+let compile t cache slots n =
+  let last = slots.(n - 1) in
   let fallthrough = last.s_addr + last.s_len in
-  Array.fold_right
-    (fun s next ->
-       if s.s_events == [] then
-         Semantics.compile s.s_insn ~addr:s.s_addr ~len:s.s_len
-           ~cost:s.s_cost ~jumped:Next ~stopped:Halted next
-       else fired t cache s next)
-    slots
-    (fun ctx ->
-       ctx.Machine.rip <- fallthrough;
-       Next)
+  let chain =
+    ref (fun ctx ->
+        ctx.Machine.rip <- fallthrough;
+        Next)
+  in
+  for i = n - 1 downto 0 do
+    let s = slots.(i) in
+    chain :=
+      if s.s_events == [] then
+        Semantics.compile s.s_insn ~addr:s.s_addr ~len:s.s_len
+          ~cost:s.s_cost ~jumped:Next ~stopped:Halted !chain
+      else fired t cache s !chain
+  done;
+  !chain
 
 (* ------------------------------------------------------------------ *)
 (* Fragments                                                           *)
@@ -476,7 +479,6 @@ let compile t cache slots =
    of the fragment it replaces, starts linked and is compiled. *)
 let build t (cache : cache) ctx ~trace ~execs addr =
   let n, count = walk t cache ~trace addr in
-  let slots = Array.sub t.walked 0 n in
   let cost = Cost.fragment_setup + (Cost.translate_per_insn * count) in
   let t0 = ctx.Machine.cycles in
   ctx.Machine.cycles <- t0 + cost;
@@ -500,10 +502,14 @@ let build t (cache : cache) ctx ~trace ~execs addr =
         Obs.emit o ~tid ~ts:t0 (Obs.Lib_resolved { name; addr })
       | _ -> ())
    | _ -> ());
-  let code = if trace && n > 0 then Trace (compile t cache slots) else Block in
+  let code =
+    if trace && n > 0 then Trace (compile t cache t.walked n)
+    else Block (Array.sub t.walked 0 n)
+  in
   let frag =
-    { f_start = addr; f_slots = slots; f_ends_indirect = ends_indirect slots;
-      f_execs = execs; f_code = code; f_linked = trace }
+    { f_start = addr; f_code = code;
+      f_ends_indirect = ends_indirect t.walked n; f_execs = execs;
+      f_linked = trace }
   in
   Machine.Int_table.replace cache.frags addr frag;
   frag
@@ -518,9 +524,10 @@ exception Bad_pc of int
 
 let exec_fragment t cache ctx frag =
   frag.f_execs <- frag.f_execs + 1;
-  if Array.length frag.f_slots = 0 then raise (Bad_pc frag.f_start);
   match frag.f_code with
-  | Block -> exec_slots t cache ctx frag.f_slots 0
+  | Block slots ->
+    if Array.length slots = 0 then raise (Bad_pc frag.f_start);
+    exec_slots t cache ctx slots 0
   | Trace run -> run ctx
 
 (* The fragment to run at [addr], charging the dispatch: translated on
@@ -545,9 +552,9 @@ let dispatch t (cache : cache) ctx addr =
       end
     end;
     (match f.f_code with
-     | Block when f.f_execs >= t.promote_threshold ->
+     | Block _ when f.f_execs >= t.promote_threshold ->
        build t cache ctx ~trace:true ~execs:f.f_execs f.f_start
-     | Block | Trace _ -> f)
+     | Block _ | Trace _ -> f)
   | exception Not_found ->
     if Code.len (Program.code_at t.prog addr) addr = 0 then
       raise (Bad_pc addr);

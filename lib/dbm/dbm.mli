@@ -34,26 +34,25 @@ type outcome =
   | Halted    (** the program exited or halted *)
   | Yielded   (** an event handler stopped the thread *)
 
-(** How a fragment executes. A basic block runs its slots through the
-    slot loop, which matches on each slot's instruction at every
-    execution ({!Janus_vm.Semantics.exec_costed}). A trace runs as one
-    chain of closures compiled from its slots when it is built
+(** What a fragment executes. A basic block runs its slots, in order,
+    through the slot loop, which matches on each slot's instruction at
+    every execution ({!Janus_vm.Semantics.exec_costed}). A trace runs
+    as one chain of closures compiled from its slots when it is built
     ({!Janus_vm.Semantics.compile}), each specialised on its
     instruction's operand shapes and tail-calling the next; an
     event-bearing slot fires its rules from a closure of its own. Both
     give the same registers, memory, cycles, counters and events. *)
-type code = Block | Trace of (Machine.t -> outcome)
+type code = Block of slot array | Trace of (Machine.t -> outcome)
 
 (** A code-cache fragment: one translated basic block (or trace). *)
 type fragment = {
   f_start : int;
-  f_slots : slot array;      (** what the executor runs, in order *)
+  f_code : code;
   f_ends_indirect : bool;
       (** the last slot is an indirect jump or call, or a return, so
           the next dispatch pays the indirect cost (fixed at
           translation) *)
   mutable f_execs : int;
-  f_code : code;
   mutable f_linked : bool;
 }
 

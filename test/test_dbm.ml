@@ -30,6 +30,12 @@ let loop_image ~n =
   Builder.ins b (Insn.Syscall Insn.sys_exit);
   Builder.to_image b ~entry:"_start"
 
+(* the slots of a basic block, as [Dbm.translate] builds one *)
+let block_slots (f : Dbm.fragment) =
+  match f.Dbm.f_code with
+  | Dbm.Block slots -> slots
+  | Dbm.Trace _ -> Alcotest.fail "translate builds basic blocks"
+
 let run_dbm ?schedule image =
   let prog = Program.load ~code:(Code.of_image image) image in
   let dbm = Dbm.create ?schedule prog in
@@ -269,7 +275,7 @@ let test_per_thread_specialisation () =
   let ctx = Run.fresh_context prog in
   let mfrag = Dbm.translate dbm mcache ctx cmp_addr in
   let wfrag = Dbm.translate dbm wcache ctx cmp_addr in
-  let first_insn (f : Dbm.fragment) = f.Dbm.f_slots.(0).Dbm.s_insn in
+  let first_insn f = (block_slots f).(0).Dbm.s_insn in
   (match first_insn mfrag with
    | Insn.Cmp (_, Operand.Imm _) -> ()
    | i -> Alcotest.failf "main cache should be untransformed: %s" (Insn.to_string i));
@@ -308,7 +314,7 @@ let test_prefetch_insertion () =
   let cache = Dbm.new_cache (Dbm.Worker 0) in
   let ctx = Run.fresh_context prog in
   let frag = Dbm.translate dbm cache ctx Layout.text_base in
-  let slots = Array.to_list frag.Dbm.f_slots in
+  let slots = Array.to_list (block_slots frag) in
   (* the prefetch hint precedes the load, targets +512 and occupies no
      application bytes *)
   (match
