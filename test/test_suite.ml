@@ -198,7 +198,7 @@ let test_sphinx3_doacross_matches_native () =
 
    Two more budgets cover the one-off work. Translation, over a cold
    DBM-only pass, stays within 16 minor words per translated
-   instruction (13.3 measured, trace compilation included; 11.9 before
+   instruction (13.2 measured, trace compilation included; 11.9 before
    traces were compiled): the walk reads the decoded text and
    the per-kind rule tables in place, so an instruction with no rule
    costs its slot and nothing else. The walk that fetched an option
