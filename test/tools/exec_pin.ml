@@ -17,6 +17,11 @@
    program gets one fresh artifact store shared by its
    configurations.
 
+   Then two rows for adv.alias at its reference input, where every
+   bounds check after the 48th invocation fails and flushes the worker
+   caches: full Janus at 8 threads, and the same under a DBM built at
+   promotion threshold 1.
+
    Then one [profile] row per suite program (all 25, the adversarial
    pair and adv.fission), as [Pipeline.profile] computes it for the
    default configuration at the training input: the total instruction
@@ -93,8 +98,8 @@ let run_dbm_eager ~input img =
 
 (* what [Janus.run_parallel] does over the gated schedule, with the DBM
    built as [run_dbm_eager] builds it and the runtime installed *)
-let run_janus_eager ~cfg ~input ~store img =
-  let p = Janus.prepare ~cfg ~train_input:input ~store img in
+let run_janus_eager ~cfg ~train_input ~input ~store img =
+  let p = Janus.prepare ~cfg ~train_input ~store img in
   let schedule, _, _ = Janus.gate ~cfg ~store img p.Janus.p_schedule in
   let prog = Program.load ~code:(Janus_vx.Code.of_image img) img in
   let dbm = Dbm.create ~schedule ~promote_threshold:1 prog in
@@ -106,7 +111,24 @@ let run_janus_eager ~cfg ~input ~store img =
           stm_everywhere = cfg.Janus.stm_everywhere; fuel = cfg.Janus.fuel }
   in
   Runtime.install rt;
-  run_to_halt "janus-8t-promote1" dbm rt.Runtime.main_cache ~input prog
+  run_to_halt "janus-promote1" dbm rt.Runtime.main_cache ~input prog
+
+let print (b : Suite.benchmark) name ~output ~exit_code ~cycles ~icount ~mem
+    stats =
+  Printf.printf "%s %s out=%s exit=%d cycles=%d icount=%d mem=%s %s\n"
+    b.Suite.name name
+    (Digest.to_hex (Digest.string output))
+    exit_code cycles icount mem (stats_fields stats)
+
+let print_result b name (r : Janus.result) =
+  print b name ~output:r.Janus.output ~exit_code:r.Janus.exit_code
+    ~cycles:r.Janus.cycles ~icount:r.Janus.icount ~mem:r.Janus.mem_digest
+    r.Janus.stats
+
+let print_run b name ((ctx : Machine.t), stats) =
+  print b name ~output:(Buffer.contents ctx.Machine.out)
+    ~exit_code:ctx.Machine.exit_code ~cycles:ctx.Machine.cycles
+    ~icount:ctx.Machine.icount ~mem:(Run.mem_digest ctx) (Some stats)
 
 let () =
   List.iter
@@ -114,30 +136,17 @@ let () =
       let img = Suite.compile b in
       let input = Suite.train_input b in
       let store = Pipeline.store () in
-      let print name ~output ~exit_code ~cycles ~icount ~mem stats =
-        Printf.printf "%s %s out=%s exit=%d cycles=%d icount=%d mem=%s %s\n"
-          b.Suite.name name
-          (Digest.to_hex (Digest.string output))
-          exit_code cycles icount mem (stats_fields stats)
-      in
       List.iter
         (fun (name, mode) ->
-          let print_result (r : Janus.result) =
-            print name ~output:r.Janus.output ~exit_code:r.Janus.exit_code
-              ~cycles:r.Janus.cycles ~icount:r.Janus.icount
-              ~mem:r.Janus.mem_digest r.Janus.stats
-          in
-          let print_run ((ctx : Machine.t), stats) =
-            print name ~output:(Buffer.contents ctx.Machine.out)
-              ~exit_code:ctx.Machine.exit_code ~cycles:ctx.Machine.cycles
-              ~icount:ctx.Machine.icount ~mem:(Run.mem_digest ctx)
-              (Some stats)
-          in
+          let print_result = print_result b name
+          and print_run = print_run b name in
           match mode with
           | Native -> print_result (Janus.run_native ~input img)
           | Dbm_only -> print_result (Janus.run_dbm_only ~input img)
           | Dbm_eager -> print_run (run_dbm_eager ~input img)
-          | Par_eager cfg -> print_run (run_janus_eager ~cfg ~input ~store img)
+          | Par_eager cfg ->
+            print_run
+              (run_janus_eager ~cfg ~train_input:input ~input ~store img)
           | Par cfg ->
             let p = Janus.prepare ~cfg ~train_input:input ~store img in
             print_result (Janus.run_parallel ~cfg ~input ~store p)
@@ -150,6 +159,23 @@ let () =
             print_result (Janus.run_scheduled ~cfg ~input img shipped))
         modes)
     programs
+
+(* adv.alias trained at its training input and run at its reference
+   input, where its call sites alias from the 49th invocation on: every
+   later bounds check fails, flushes the worker caches and sends them
+   back to rebuild and recompile their traces. Two rows pin that path,
+   full Janus at 8 threads and the same schedule under a DBM built at
+   promotion threshold 1. *)
+let () =
+  let b = Suite.find_exn "adv.alias" in
+  let img = Suite.compile b in
+  let train_input = Suite.train_input b and input = Suite.ref_input b in
+  let cfg = Janus.config ~threads:8 () in
+  let store = Pipeline.store () in
+  let p = Janus.prepare ~cfg ~train_input ~store img in
+  print_result b "janus-8t@ref" (Janus.run_parallel ~cfg ~input ~store p);
+  print_run b "janus-8t-promote1@ref"
+    (run_janus_eager ~cfg ~train_input ~input ~store img)
 
 let () =
   let cfg = Janus.config () in
