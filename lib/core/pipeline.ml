@@ -283,7 +283,27 @@ let memo s (t : _ table) key f =
 (* Content keys                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let image_key img = Digest.to_hex (Digest.bytes (Image.to_bytes img))
+(* The last image keyed, with its key. Images are never mutated once
+   built, so a value keeps the key it was first given and physical
+   identity is enough to recognise it: one request's evidence lookup
+   and stages, or one suite op's, pay one digest. One pair in an
+   [Atomic], so domains share it; a race costs a recomputation. *)
+let last_keyed : (Image.t * string) option Atomic.t = Atomic.make None
+
+let image_key img =
+  match Atomic.get last_keyed with
+  | Some (i, key) when i == img -> key
+  | _ ->
+    let key = Digest.to_hex (Digest.bytes (Image.to_bytes img)) in
+    Atomic.set last_keyed (Some (img, key));
+    key
+
+(* [Image.of_bytes] is exact, so the digest of the received bytes is
+   the key [image_key] would compute from the decoded image *)
+let image_of_bytes b =
+  let img = Image.of_bytes b in
+  Atomic.set last_keyed (Some (img, Digest.to_hex (Digest.bytes b)));
+  img
 
 let input_key input = String.concat "," (List.map Int64.to_string input)
 

@@ -174,8 +174,25 @@ val compile : ?store:store -> ?options:Jcc.options -> string -> Janus_vx.Image.t
 
 (** The content key of an image (hex digest of its serialised bytes) —
     the key every per-binary artifact, profile and fleet ledger hangs
-    off. *)
+    off.
+
+    The last image keyed is remembered with its key and recognised by
+    physical identity, so keying one image value again — a daemon
+    request's evidence lookup and then each of its stages, a suite
+    op's [prepare] and gate — costs one digest, not one per call. This
+    holds only because an image is never mutated once built (the
+    decoded text every run of a prepared image shares relies on the
+    same). The memo is one pair in an [Atomic]: domains may share it,
+    and a race costs a recomputation, never another image's key. *)
 val image_key : Janus_vx.Image.t -> string
+
+(** [image_of_bytes b] decodes [b] as {!Janus_vx.Image.of_bytes} does
+    (raising what it raises) and remembers the digest of [b] as the
+    result's {!image_key}. That is the string [image_key] would
+    compute, because a buffer that decodes is exactly [to_bytes] of
+    its image; a caller that received the image as bytes, as the
+    daemon does, keys it without re-serialising it. *)
+val image_of_bytes : bytes -> Janus_vx.Image.t
 
 (** Stage 1 — static analysis: CFG recovery, loop forest, per-loop
     classification. Key: image digest. [pool] shards the analysis per

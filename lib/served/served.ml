@@ -126,8 +126,11 @@ let server_metrics t =
 let warm_since t (before : Pipeline.cache_stats) =
   (Pipeline.cache_stats t.store).Pipeline.misses = before.Pipeline.misses
 
+(* decoded through [Pipeline.image_of_bytes], so a request's evidence
+   lookup and stages key the image by the digest of the bytes received,
+   never re-serialising it *)
 let handle_analyse t q_image =
-  let image = Image.of_bytes q_image in
+  let image = Pipeline.image_of_bytes q_image in
   let before = Pipeline.cache_stats t.store in
   let analysis = Pipeline.analyse ~store:t.store ?pool:t.pool image in
   let hit = warm_since t before in
@@ -141,7 +144,7 @@ let handle_analyse t q_image =
     }
 
 let handle_schedule t q_image q_cfg q_train_input =
-  let image = Image.of_bytes q_image in
+  let image = Pipeline.image_of_bytes q_image in
   let before = Pipeline.cache_stats t.store in
   (* schedule from the fleet aggregate when the profile store holds
      evidence for this binary; the evidence generation enters the

@@ -616,6 +616,118 @@ let test_parallel_harness_matches_sequential () =
     (Fmt.str "%a" Eval.pp_table1 seq)
     (Fmt.str "%a" Eval.pp_table1 par)
 
+(* ---- the image-keying memo ---- *)
+
+module Image = Janus_vx.Image
+
+let digest_of_bytes b = Digest.to_hex (Digest.bytes b)
+
+(* a few suite images of different sizes, each the same value every
+   time it is drawn *)
+let keyed_images =
+  lazy (Array.of_list (List.filteri (fun i _ -> i < 6)
+                         (Lazy.force Test_vx.suite_images)))
+
+(* the bytes of [img] with one text byte flipped: the same length and
+   layout, another key *)
+let text_mutant (img : Image.t) pos mask =
+  let text = Bytes.copy img.Image.text in
+  let k = pos mod Bytes.length text in
+  Bytes.set text k (Char.chr (Char.code (Bytes.get text k) lxor mask));
+  Image.to_bytes { img with Image.text }
+
+(* What [image_key] is given, in a random order: a suite image (the
+   same value again), a structural copy of one, an image decoded from a
+   one-byte text mutant, an image [image_of_bytes] decoded from either
+   kind of buffer, or a value keyed earlier in the sequence. *)
+type keying =
+  | Same of int
+  | Copy of int
+  | Mutant of int * int * int
+  | Received of int * (int * int) option
+  | Earlier of int
+
+let gen_keying =
+  QCheck2.Gen.(
+    let mutation = pair (int_bound 100_000) (int_range 1 255) in
+    frequency
+      [ (3, map (fun i -> Same i) small_nat);
+        (2, map (fun i -> Copy i) small_nat);
+        (3, map2 (fun i (p, m) -> Mutant (i, p, m)) small_nat mutation);
+        (2, map2 (fun i m -> Received (i, m)) small_nat (option mutation));
+        (3, map (fun j -> Earlier j) small_nat) ])
+
+let print_keying = function
+  | Same i -> Printf.sprintf "Same %d" i
+  | Copy i -> Printf.sprintf "Copy %d" i
+  | Mutant (i, p, m) -> Printf.sprintf "Mutant (%d, %d, %d)" i p m
+  | Received (i, None) -> Printf.sprintf "Received %d" i
+  | Received (i, Some (p, m)) -> Printf.sprintf "Received (%d, %d, %d)" i p m
+  | Earlier j -> Printf.sprintf "Earlier %d" j
+
+let prop_image_key_memo =
+  QCheck2.Test.make ~count:200
+    ~name:"image_key is the image's digest in any keying order"
+    ~print:QCheck2.Print.(list print_keying)
+    QCheck2.Gen.(list_size (int_range 1 24) gen_keying)
+    (fun ops ->
+       let images = Lazy.force keyed_images in
+       let pick i = fst images.(i mod Array.length images) in
+       let seen = ref [||] in
+       let key_ok img =
+         seen := Array.append !seen [| img |];
+         Pipeline.image_key img = digest_of_bytes (Image.to_bytes img)
+       in
+       List.for_all
+         (function
+           | Same i -> key_ok (pick i)
+           | Copy i -> key_ok (Image.of_bytes (Image.to_bytes (pick i)))
+           | Mutant (i, p, m) -> key_ok (Image.of_bytes (text_mutant (pick i) p m))
+           | Received (i, mutation) ->
+             let b =
+               match mutation with
+               | None -> snd images.(i mod Array.length images)
+               | Some (p, m) -> text_mutant (pick i) p m
+             in
+             let img = Pipeline.image_of_bytes b in
+             img = Image.of_bytes b
+             && Pipeline.image_key img = digest_of_bytes b
+             && key_ok img
+           | Earlier j ->
+             Array.length !seen = 0
+             || key_ok !seen.(j mod Array.length !seen))
+         ops)
+
+(* Two domains each key one image over and over for the same 5 ms: a
+   suite image, and a one-byte mutant of a suite image (of the same one
+   when the draws agree, so of the same length). Each must always get
+   its own key. *)
+let prop_image_key_across_domains =
+  QCheck2.Test.make ~count:12
+    ~name:"concurrent keyings never return each other's key"
+    QCheck2.Gen.(
+      quad small_nat small_nat (int_bound 100_000) (int_range 1 255))
+    (fun (i, j, p, m) ->
+       let images = Lazy.force keyed_images in
+       let pick i = fst images.(i mod Array.length images) in
+       let a = pick i in
+       let b = Image.of_bytes (text_mutant (pick j) p m) in
+       let started = Atomic.make 0 in
+       let own img =
+         let key = digest_of_bytes (Image.to_bytes img) in
+         Atomic.incr started;
+         while Atomic.get started < 2 do Domain.cpu_relax () done;
+         let until = Unix.gettimeofday () +. 0.005 in
+         let ok = ref true in
+         while !ok && Unix.gettimeofday () < until do
+           ok := Pipeline.image_key img = key
+         done;
+         !ok
+       in
+       let other = Domain.spawn (fun () -> own b) in
+       let mine = own a in
+       Domain.join other && mine)
+
 let tests =
   [
     Alcotest.test_case "warm run equals cold run" `Quick
@@ -662,4 +774,6 @@ let tests =
       test_sharded_analysis_identical;
     Alcotest.test_case "sharded verifier identical to sequential" `Quick
       test_sharded_verifier_identical;
+    QCheck_alcotest.to_alcotest prop_image_key_memo;
+    QCheck_alcotest.to_alcotest prop_image_key_across_domains;
   ]

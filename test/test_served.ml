@@ -7,6 +7,7 @@ module Served = Janus_served_lib.Served
 module Pipeline = Janus_core.Pipeline
 module Jcc = Janus_jcc.Jcc
 module Obs = Janus_obs.Obs
+module Pgo = Janus_pgo.Pgo
 
 let kernel =
   "double v[2048];\n\
@@ -137,6 +138,43 @@ let test_restart_answers_from_disk () =
   Alcotest.(check int) "verdict loaded from disk" 1
     (count "pipeline.cache.verified.disk.hits")
 
+(* The daemon keys an image by the bytes it received. A profile filed
+   under the client's [image_key] must therefore reach the schedule:
+   the first answer after the upload is computed under the profile's
+   generation, and the next is a warm, byte-identical copy of it. *)
+let test_upload_fed_reply () =
+  Test_pipeline.with_temp_dir @@ fun client_dir ->
+  Test_pipeline.with_temp_dir @@ fun profile_dir ->
+  let img = compile_kernel () in
+  let collected = Pgo.collect ~store:(Pgo.Store.open_ client_dir) ~input:[] img in
+  let payload =
+    In_channel.with_open_bin
+      (Filename.concat client_dir (Pipeline.image_key img ^ ".jprof"))
+      In_channel.input_all
+  in
+  with_server ~profile_dir (fun socket ->
+      let c = Served.connect ~socket in
+      Fun.protect
+        ~finally:(fun () -> Served.disconnect c)
+        (fun () ->
+          let up = Served.upload c (Bytes.of_string payload) in
+          Alcotest.(check string) "filed under the client's key"
+            (Pipeline.image_key img) up.Served.u_image;
+          let generation = (Pgo.evidence collected).Pipeline.ev_generation in
+          let r1 = Served.schedule c img in
+          Alcotest.(check bool) "first answer is computed" false
+            r1.Served.s_cache_hit;
+          Alcotest.(check string) "first answer uses the uploaded evidence"
+            generation r1.Served.s_generation;
+          let r2 = Served.schedule c img in
+          Alcotest.(check bool) "second answer is warm" true
+            r2.Served.s_cache_hit;
+          Alcotest.(check string) "same generation" generation
+            r2.Served.s_generation;
+          Alcotest.(check string) "same schedule bytes"
+            (Bytes.to_string r1.Served.s_schedule)
+            (Bytes.to_string r2.Served.s_schedule)))
+
 let test_garbage_connection_survived () =
   with_server (fun socket ->
       (* a client speaking the wrong protocol: the server must drop the
@@ -201,6 +239,8 @@ let tests =
       test_second_answer_is_warm;
     Alcotest.test_case "restarted daemon answers from disk" `Quick
       test_restart_answers_from_disk;
+    Alcotest.test_case "an uploaded profile feeds the next answers" `Quick
+      test_upload_fed_reply;
     Alcotest.test_case "garbage connection does not kill the server" `Quick
       test_garbage_connection_survived;
     Alcotest.test_case "frame from another build is refused" `Quick
