@@ -284,10 +284,8 @@ let memo s (t : _ table) key f =
 (* ------------------------------------------------------------------ *)
 
 (* The last image keyed, with its key. Images are never mutated once
-   built, so a value keeps the key it was first given and physical
-   identity is enough to recognise it: one request's evidence lookup
-   and stages, or one suite op's, pay one digest. One pair in an
-   [Atomic], so domains share it; a race costs a recomputation. *)
+   built, so physical identity recognises a value already keyed. Domains
+   share the one pair; a race costs a recomputation. *)
 let last_keyed : (Image.t * string) option Atomic.t = Atomic.make None
 
 let image_key img =

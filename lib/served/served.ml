@@ -126,9 +126,6 @@ let server_metrics t =
 let warm_since t (before : Pipeline.cache_stats) =
   (Pipeline.cache_stats t.store).Pipeline.misses = before.Pipeline.misses
 
-(* decoded through [Pipeline.image_of_bytes], so a request's evidence
-   lookup and stages key the image by the digest of the bytes received,
-   never re-serialising it *)
 let handle_analyse t q_image =
   let image = Pipeline.image_of_bytes q_image in
   let before = Pipeline.cache_stats t.store in

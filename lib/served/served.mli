@@ -11,6 +11,13 @@
     are deterministic functions of their content keys, so a warm answer
     is byte-identical to a cold one.
 
+    The daemon keys each request's image by the bytes it received
+    ({!Janus_core.Pipeline.image_of_bytes}): their MD5 is the
+    {!Janus_core.Pipeline.image_key} the client computes for the same
+    image, so a [.jprof] filed under the client's key feeds the
+    daemon's answers, and a warm request digests its image once and
+    re-serialises nothing.
+
     The protocol is Marshal payloads behind a magic-and-length frame
     header; the magic embeds the build stamp
     ({!Janus_core.Build_id.id}, a digest of the library sources), so a

@@ -622,11 +622,22 @@ module Image = Janus_vx.Image
 
 let digest_of_bytes b = Digest.to_hex (Digest.bytes b)
 
-(* a few suite images of different sizes, each the same value every
-   time it is drawn *)
+(* six suite images with their bytes, three under 5 KB and three of
+   5-40 KB, so two domains' digests can take very different times; each
+   is the same value every time it is drawn *)
 let keyed_images =
-  lazy (Array.of_list (List.filteri (fun i _ -> i < 6)
-                         (Lazy.force Test_vx.suite_images)))
+  lazy
+    (let sized lo hi =
+       List.filteri (fun i _ -> i < 3)
+         (List.filter
+            (fun (_, b) -> Bytes.length b >= lo && Bytes.length b < hi)
+            (Lazy.force Test_vx.suite_images))
+     in
+     Array.of_list (sized 0 5_000 @ sized 5_000 40_000))
+
+let keyed i =
+  let images = Lazy.force keyed_images in
+  images.(i mod Array.length images)
 
 (* the bytes of [img] with one text byte flipped: the same length and
    layout, another key *)
@@ -671,31 +682,30 @@ let prop_image_key_memo =
     ~print:QCheck2.Print.(list print_keying)
     QCheck2.Gen.(list_size (int_range 1 24) gen_keying)
     (fun ops ->
-       let images = Lazy.force keyed_images in
-       let pick i = fst images.(i mod Array.length images) in
-       let seen = ref [||] in
+       let seen = ref [] in
        let key_ok img =
-         seen := Array.append !seen [| img |];
+         seen := img :: !seen;
          Pipeline.image_key img = digest_of_bytes (Image.to_bytes img)
        in
        List.for_all
          (function
-           | Same i -> key_ok (pick i)
-           | Copy i -> key_ok (Image.of_bytes (Image.to_bytes (pick i)))
-           | Mutant (i, p, m) -> key_ok (Image.of_bytes (text_mutant (pick i) p m))
+           | Same i -> key_ok (fst (keyed i))
+           | Copy i -> key_ok (Image.of_bytes (snd (keyed i)))
+           | Mutant (i, p, m) ->
+             key_ok (Image.of_bytes (text_mutant (fst (keyed i)) p m))
            | Received (i, mutation) ->
              let b =
                match mutation with
-               | None -> snd images.(i mod Array.length images)
-               | Some (p, m) -> text_mutant (pick i) p m
+               | None -> snd (keyed i)
+               | Some (p, m) -> text_mutant (fst (keyed i)) p m
              in
              let img = Pipeline.image_of_bytes b in
              img = Image.of_bytes b
              && Pipeline.image_key img = digest_of_bytes b
              && key_ok img
            | Earlier j ->
-             Array.length !seen = 0
-             || key_ok !seen.(j mod Array.length !seen))
+             !seen = []
+             || key_ok (List.nth !seen (j mod List.length !seen)))
          ops)
 
 (* Two domains each key one image over and over for the same 5 ms: a
@@ -708,10 +718,8 @@ let prop_image_key_across_domains =
     QCheck2.Gen.(
       quad small_nat small_nat (int_bound 100_000) (int_range 1 255))
     (fun (i, j, p, m) ->
-       let images = Lazy.force keyed_images in
-       let pick i = fst images.(i mod Array.length images) in
-       let a = pick i in
-       let b = Image.of_bytes (text_mutant (pick j) p m) in
+       let a = fst (keyed i) in
+       let b = Image.of_bytes (text_mutant (fst (keyed j)) p m) in
        let started = Atomic.make 0 in
        let own img =
          let key = digest_of_bytes (Image.to_bytes img) in
