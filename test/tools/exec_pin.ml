@@ -160,12 +160,8 @@ let () =
         modes)
     programs
 
-(* adv.alias trained at its training input and run at its reference
-   input, where its call sites alias from the 49th invocation on: every
-   later bounds check fails, flushes the worker caches and sends them
-   back to rebuild and recompile their traces. Two rows pin that path,
-   full Janus at 8 threads and the same schedule under a DBM built at
-   promotion threshold 1. *)
+(* the cache-flush rows: trained at the training input, run at the
+   reference input *)
 let () =
   let b = Suite.find_exn "adv.alias" in
   let img = Suite.compile b in
